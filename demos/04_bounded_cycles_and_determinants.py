@@ -3,9 +3,10 @@
 d(n, l) counts permutations of n symbols with no cycle longer than l.  It
 comes out of an l-term recurrence, out of the cycle-index polynomial (which
 remembers the whole cycle type, not just the total), and out of the
-determinant of a banded Toeplitz matrix with Gaussian-integer entries whose
-imaginary parts cancel identically.  A brute-force census over all n!
-permutations confirms everything for small n.
+determinant of a banded Toeplitz matrix.  The paper's matrix has Gaussian-
+integer entries; conjugating it by diag(i^k) gives a real matrix with the
+same determinant, which is the one expanded here.  A brute-force census over
+all n! permutations confirms everything for small n.
 """
 
 from involutions import (

@@ -14,6 +14,7 @@ import mpmath
 from mpmath import mp, mpf
 
 from .cyclecount import restricted_count
+from .exactnum import factorial
 
 DEFAULT_DPS = 40
 
@@ -172,16 +173,9 @@ def beta_closed_form(l: int, k: int) -> Fraction:
         return Fraction(1, l)
     if k == 0:
         return -Fraction(1, l) * sum((Fraction(1, j) for j in range(2, l + 1)), Fraction(0))
-    out = Fraction(1, k * int_factorial(l - k))
+    out = Fraction(1, k * factorial(l - k))
     for m in range(1, l):
         out *= Fraction(l - k, l) + m
-    return out
-
-
-def int_factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
     return out
 
 

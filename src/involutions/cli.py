@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -21,10 +20,6 @@ from .exactnum import nu_int, nu_rat, partitions
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFY = 2
-
-
-def _default_threads() -> int:
-    return int(os.environ.get("INVOLUTIONS_THREADS", "1"))
 
 
 def _emit_sequence(values, fmt: str, name: str) -> None:
@@ -431,17 +426,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact computations around involution numbers, their "
         "partial sums, valuations, cycle-index polynomials and asymptotics.",
     )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=_default_threads(),
-        help="worker threads for sweeps (default: INVOLUTIONS_THREADS or 1)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_format(p):
-        p.add_argument("--format", choices=["plain", "json", "csv", "bfile"],
-                       default="plain")
+    def add_format(p, choices=("plain", "json", "csv", "bfile")):
+        p.add_argument("--format", choices=choices, default="plain")
 
     p = sub.add_parser("invol", help="involution numbers and polynomials")
     p.add_argument("--n", type=int)
@@ -468,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cycle-index", action="store_true")
     p.add_argument("--determinant", action="store_true",
                    help="via the Toeplitz determinant (small n only)")
-    add_format(p)
+    add_format(p, ("plain", "json"))
     p.set_defaults(func=cmd_restricted)
 
     p = sub.add_parser("valuation", help="p-adic valuations and trees")
@@ -481,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prime", type=int, default=5)
     p.add_argument("--depth", type=int, default=3)
     p.add_argument("--max", type=int, default=541)
-    add_format(p)
+    add_format(p, ("plain", "json"))
     p.set_defaults(func=cmd_valuation)
 
     p = sub.add_parser("asym", help="saddle-point estimates")
@@ -493,14 +481,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sweep", type=int, nargs="+", metavar="N",
                    help="CSV of exact vs estimate over the given n values")
     p.add_argument("--tol", type=float, default=1e-12)
-    add_format(p)
     p.set_defaults(func=cmd_asym)
 
     p = sub.add_parser("oracle", help="brute-force cycle-type census")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--formula", action="store_true",
                    help="use the counting formula instead of enumeration")
-    add_format(p)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("verify", help="run a named invariant suite")

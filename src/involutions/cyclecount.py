@@ -6,7 +6,7 @@ from __future__ import annotations
 import json
 
 from .involution import UniPoly
-from .exactnum import as_partition, factorial
+from .exactnum import as_partition
 
 
 def _grade(exponents: tuple[int, ...]) -> int:
@@ -147,8 +147,8 @@ def statistic_lookup(n: int, l: int, cycle_type) -> int:
     """Number of permutations with the given cycle type (all parts <= l).
 
     Reads the coefficient off the cycle-index polynomial; the classical
-    formula n!/prod(t^et * et!) is kept as an independent cross-check in the
-    test suite.
+    formula n!/prod(t^et * et!), oracle.cycle_type_count, is the independent
+    cross-check in the test suite.
     """
     lam = as_partition(cycle_type)
     if sum(lam) != n:
@@ -161,200 +161,71 @@ def statistic_lookup(n: int, l: int, cycle_type) -> int:
     return cycle_index_poly(n, l).coefficient(tuple(exps))
 
 
-def cycle_type_count(n: int, cycle_type) -> int:
-    """n! / prod(t^et * et!): permutations of the given cycle type."""
-    lam = as_partition(cycle_type)
-    if sum(lam) != n:
-        raise ValueError(f"cycle type {lam} does not partition {n}")
-    denom = 1
-    mult: dict[int, int] = {}
-    for part in lam:
-        mult[part] = mult.get(part, 0) + 1
-    for t, e in mult.items():
-        denom *= t**e * factorial(e)
-    return factorial(n) // denom
+TOEPLITZ_MAX_N = 8  # cofactor expansion is a verification path, not an engine
 
 
-class GaussPoly:
-    """Sparse multivariate polynomial over the Gaussian integers.
+def toeplitz_matrix(n: int, l: int) -> list[list[dict[tuple[int, ...], int]]]:
+    """The n x n matrix whose determinant is the cycle-index polynomial.
 
-    Coefficients are (re, im) integer pairs; keys are exponent vectors of
-    fixed length.  Supports the exact division needed by fraction-free
-    elimination.
+    The paper's banded Toeplitz matrix, rows/columns indexed 1..n, has entry
+    (k, j) = i^(j-k) Y_(j-k+1) on the band 0 <= j-k <= l-1, i*j on the
+    subdiagonal k = j+1, and 0 elsewhere.  (The stated size n+1 does not
+    reproduce the worked 5x5 case at n=5; size n does, and matches the
+    restricted counts for all small n.)  Conjugating it by diag(i^k)
+    multiplies entry (k, j) by i^(k-j) and leaves the determinant unchanged;
+    that gives the real upper Hessenberg matrix returned here: Y_(j-k+1) on
+    the band, -j on the subdiagonal, 0 elsewhere.  Entries are sparse
+    polynomials {exponent vector: coefficient}, as in CycleIndexPoly.terms;
+    zero is the empty dict.
     """
-
-    __slots__ = ("l", "terms")
-
-    def __init__(self, l: int, terms: dict[tuple[int, ...], tuple[int, int]] | None = None):
-        self.l = l
-        self.terms = {}
-        if terms:
-            for exps, (a, b) in terms.items():
-                if a or b:
-                    self.terms[tuple(exps)] = (a, b)
-
-    @classmethod
-    def constant(cls, l: int, a: int, b: int = 0) -> "GaussPoly":
-        return cls(l, {(0,) * l: (a, b)})
-
-    @classmethod
-    def variable(cls, l: int, t: int, a: int = 1, b: int = 0) -> "GaussPoly":
-        """a+bi times the variable Y_t (1-indexed)."""
-        exps = [0] * l
-        exps[t - 1] = 1
-        return cls(l, {tuple(exps): (a, b)})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "GaussPoly") -> "GaussPoly":
-        terms = dict(self.terms)
-        for exps, (a, b) in other.terms.items():
-            c, d = terms.get(exps, (0, 0))
-            terms[exps] = (a + c, b + d)
-        return GaussPoly(self.l, terms)
-
-    def __sub__(self, other: "GaussPoly") -> "GaussPoly":
-        return self + (-other)
-
-    def __neg__(self) -> "GaussPoly":
-        return GaussPoly(self.l, {e: (-a, -b) for e, (a, b) in self.terms.items()})
-
-    def __mul__(self, other: "GaussPoly") -> "GaussPoly":
-        terms: dict[tuple[int, ...], tuple[int, int]] = {}
-        for e1, (a, b) in self.terms.items():
-            for e2, (c, d) in other.terms.items():
-                key = tuple(x + y for x, y in zip(e1, e2))
-                re = a * c - b * d
-                im = a * d + b * c
-                p, q = terms.get(key, (0, 0))
-                terms[key] = (p + re, q + im)
-        return GaussPoly(self.l, terms)
-
-    def _leading(self) -> tuple[tuple[int, ...], tuple[int, int]]:
-        key = max(self.terms, key=lambda e: (_grade(e), e))
-        return key, self.terms[key]
-
-    def exact_div(self, other: "GaussPoly") -> "GaussPoly":
-        """Exact quotient self / other; raises if the division is not exact."""
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero polynomial")
-        quotient = GaussPoly(self.l)
-        remainder = self
-        div_exps, (c, d) = other._leading()
-        norm = c * c + d * d
-        while not remainder.is_zero():
-            lead_exps, (a, b) = remainder._leading()
-            mono = tuple(x - y for x, y in zip(lead_exps, div_exps))
-            if any(e < 0 for e in mono):
-                raise ArithmeticError("inexact polynomial division")
-            # (a+bi)/(c+di) over the Gaussian integers
-            re_num = a * c + b * d
-            im_num = b * c - a * d
-            if re_num % norm or im_num % norm:
-                raise ArithmeticError("inexact Gaussian-integer division")
-            term = GaussPoly(self.l, {mono: (re_num // norm, im_num // norm)})
-            quotient = quotient + term
-            remainder = remainder - term * other
-        return quotient
-
-    def real_part_or_raise(self) -> dict[tuple[int, ...], int]:
-        """Real coefficients; raises if any imaginary part survived."""
-        out = {}
-        for exps, (a, b) in self.terms.items():
-            if b != 0:
-                raise ArithmeticError(
-                    f"nonzero imaginary part {b} at exponents {exps}"
-                )
-            out[exps] = a
-        return out
-
-    def __repr__(self):
-        return f"GaussPoly(l={self.l}, terms={self.terms!r})"
-
-
-def toeplitz_matrix(n: int, l: int) -> list[list[GaussPoly]]:
-    """The n x n banded Toeplitz matrix whose determinant is the cycle index.
-
-    With rows/columns indexed 1..n: entry (k, j) is i^(j-k) Y_(j-k+1) on the
-    band 0 <= j-k <= l-1, i*j on the subdiagonal k = j+1, and 0 elsewhere.
-    (The stated size n+1 does not reproduce the worked 5x5 case at n=5;
-    size n does, and matches the restricted counts for all small n.)
-    """
-    if n < 1 or l < 1:
-        raise ValueError("requires n >= 1 and l >= 1")
-    ipow = [(1, 0), (0, 1), (-1, 0), (0, -1)]
+    if n < 0 or l < 1:
+        raise ValueError("requires n >= 0 and l >= 1")
     rows = []
     for k in range(1, n + 1):
         row = []
         for j in range(1, n + 1):
+            exps = [0] * l
             if 0 <= j - k <= l - 1:
-                a, b = ipow[(j - k) % 4]
-                row.append(GaussPoly.variable(l, j - k + 1, a, b))
+                exps[j - k] = 1
+                row.append({tuple(exps): 1})
             elif k == j + 1:
-                row.append(GaussPoly.constant(l, 0, j))
+                row.append({tuple(exps): -j})
             else:
-                row.append(GaussPoly(l))
+                row.append({})
         rows.append(row)
     return rows
 
 
-def _det_cofactor(matrix: list[list[GaussPoly]], l: int) -> GaussPoly:
-    size = len(matrix)
-    if size == 0:
-        return GaussPoly.constant(l, 1)
-    if size == 1:
-        return matrix[0][0]
-    total = GaussPoly(l)
-    for col in range(size):
-        entry = matrix[0][col]
-        if entry.is_zero():
+def _poly_mul(a: dict, b: dict) -> dict:
+    out: dict[tuple[int, ...], int] = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            key = tuple(x + y for x, y in zip(e1, e2))
+            out[key] = out.get(key, 0) + c1 * c2
+    return out
+
+
+def _det_cofactor(matrix: list[list[dict]], l: int) -> dict[tuple[int, ...], int]:
+    """Cofactor expansion along the first row, skipping zero entries."""
+    if not matrix:
+        return {(0,) * l: 1}
+    total: dict[tuple[int, ...], int] = {}
+    for col, entry in enumerate(matrix[0]):
+        if not entry:
             continue
         minor = [row[:col] + row[col + 1 :] for row in matrix[1:]]
-        sub = _det_cofactor(minor, l)
-        term = entry * sub
-        total = total + term if col % 2 == 0 else total - term
-    return total
+        sign = -1 if col % 2 else 1
+        for exps, coeff in _poly_mul(entry, _det_cofactor(minor, l)).items():
+            total[exps] = total.get(exps, 0) + sign * coeff
+    return {exps: coeff for exps, coeff in total.items() if coeff}
 
 
-def _det_bareiss(matrix: list[list[GaussPoly]], l: int) -> GaussPoly:
-    size = len(matrix)
-    if size == 0:
-        return GaussPoly.constant(l, 1)
-    m = [row[:] for row in matrix]
-    sign = 1
-    prev = GaussPoly.constant(l, 1)
-    for k in range(size - 1):
-        if m[k][k].is_zero():
-            for swap in range(k + 1, size):
-                if not m[swap][k].is_zero():
-                    m[k], m[swap] = m[swap], m[k]
-                    sign = -sign
-                    break
-            else:
-                return GaussPoly(l)
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                m[i][j] = num.exact_div(prev)
-        prev = m[k][k]
-    det = m[size - 1][size - 1]
-    return det if sign == 1 else -det
+def toeplitz_determinant(n: int, l: int) -> CycleIndexPoly:
+    """det of the banded Toeplitz matrix, as a verification path for n <= 8.
 
-
-def toeplitz_determinant(n: int, l: int, max_n: int = 8) -> CycleIndexPoly:
-    """det of the banded Toeplitz matrix, as a verification path for small n.
-
-    Cofactor expansion for sizes up to 6, fraction-free (Bareiss)
-    elimination above.  The imaginary parts must cancel identically; a
-    surviving one is an error.
+    Expands the real form of the matrix (see toeplitz_matrix), whose
+    determinant equals that of the paper's Gaussian-integer form.
     """
-    if n < 0 or l < 1:
-        raise ValueError("requires n >= 0 and l >= 1")
-    if n > max_n:
-        raise ValueError(f"n={n} exceeds the verification bound {max_n}")
-    if n == 0:
-        return CycleIndexPoly(l, {(0,) * l: 1})
-    matrix = toeplitz_matrix(n, l)
-    det = _det_cofactor(matrix, l) if n <= 6 else _det_bareiss(matrix, l)
-    return CycleIndexPoly(l, det.real_part_or_raise())
+    if n > TOEPLITZ_MAX_N:
+        raise ValueError(f"n={n} exceeds the verification bound {TOEPLITZ_MAX_N}")
+    return CycleIndexPoly(l, _det_cofactor(toeplitz_matrix(n, l), l))

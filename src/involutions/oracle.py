@@ -7,7 +7,7 @@ import json
 from dataclasses import dataclass
 from itertools import permutations as iter_permutations
 
-from .exactnum import factorial, partitions
+from .exactnum import as_partition, factorial, partitions
 from .involution import UniPoly
 
 ENUMERATION_CAP = 9  # 9! = 362880 permutations
@@ -63,21 +63,26 @@ def enumerate_census(n: int) -> CycleCensus:
     return CycleCensus(n, counts)
 
 
+def cycle_type_count(n: int, cycle_type) -> int:
+    """n! / prod(t^et * et!): permutations of the given cycle type."""
+    lam = as_partition(cycle_type)
+    if sum(lam) != n:
+        raise ValueError(f"cycle type {lam} does not partition {n}")
+    denom = 1
+    mult: dict[int, int] = {}
+    for part in lam:
+        mult[part] = mult.get(part, 0) + 1
+    for t, e in mult.items():
+        denom *= t**e * factorial(e)
+    return factorial(n) // denom
+
+
 def partition_census(n: int) -> CycleCensus:
-    """Census from the counting formula n!/prod(t^et et!), one partition at
-    a time; intended for n up to a few dozen."""
+    """Census from the counting formula, one partition at a time; intended
+    for n up to a few dozen."""
     if n < 0:
         raise ValueError("requires n >= 0")
-    counts: dict[tuple[int, ...], int] = {}
-    for lam in partitions(n):
-        denom = 1
-        mult: dict[int, int] = {}
-        for part in lam:
-            mult[part] = mult.get(part, 0) + 1
-        for t, e in mult.items():
-            denom *= t**e * factorial(e)
-        counts[lam] = factorial(n) // denom
-    return CycleCensus(n, counts)
+    return CycleCensus(n, {lam: cycle_type_count(n, lam) for lam in partitions(n)})
 
 
 def census_involution_count(census: CycleCensus) -> int:

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from involutions.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, SUITES, run
 
 
@@ -160,3 +162,21 @@ def test_error_maps_to_usage_exit(capsys):
 def test_bad_flag_returns_usage(capsys):
     assert run(["invol", "--bogus"]) == EXIT_USAGE
     capsys.readouterr()
+
+
+def test_threads_flag_is_rejected(capsys):
+    assert run(["--threads", "2", "verify", "--list"]) == EXIT_USAGE
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["asym", "--saddle", "--n", "12", "--format", "csv"],
+    ["oracle", "--n", "4", "--format", "csv"],
+    ["restricted", "--n", "5", "--l", "4", "--format", "csv"],
+    ["restricted", "--n", "5", "--l", "4", "--format", "bfile"],
+    ["valuation", "--nu2-involution", "7", "--format", "csv"],
+    ["valuation", "--nu2-involution", "7", "--format", "bfile"],
+], ids=lambda argv: f"{argv[0]}-{argv[-1]}")
+def test_unhonoured_format_is_rejected(argv, capsys):
+    assert run(argv) == EXIT_USAGE
+    assert capsys.readouterr().out == ""
