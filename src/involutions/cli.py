@@ -38,6 +38,15 @@ def _emit_sequence(values, fmt: str, name: str) -> None:
             print(v)
 
 
+def _unhonoured_format(args, action: str, honoured: tuple[str, ...]) -> bool:
+    """Report an explicit --format that `action` cannot print; True if so."""
+    if args.format is None or args.format in honoured:
+        return False
+    print(f"{action}: --format {args.format} is not supported here "
+          f"(choose {' or '.join(honoured)})", file=sys.stderr)
+    return True
+
+
 def cmd_invol(args) -> int:
     if args.hermite_check:
         ok = all(involution.hermite_relation_check(n) for n in range(args.max + 1))
@@ -90,15 +99,21 @@ def cmd_restricted(args) -> int:
         else:
             print(poly)
         return EXIT_OK
+    if _unhonoured_format(args, "restricted", ("plain",)):
+        return EXIT_USAGE
     print(cyclecount.restricted_count(args.n, args.l))
     return EXIT_OK
 
 
 def cmd_valuation(args) -> int:
     if args.nu2_involution is not None:
+        if _unhonoured_format(args, "valuation --nu2-involution", ("plain",)):
+            return EXIT_USAGE
         print(valuation.nu2_involution(args.nu2_involution))
         return EXIT_OK
     if args.nu2_partial_sum is not None:
+        if _unhonoured_format(args, "valuation --nu2-partial-sum", ("plain",)):
+            return EXIT_USAGE
         print(valuation.nu2_partial_sum(args.nu2_partial_sum))
         return EXIT_OK
     if args.efficiency_scan:
@@ -111,6 +126,8 @@ def cmd_valuation(args) -> int:
                 print(p)
         return EXIT_OK
     if args.tree:
+        if _unhonoured_format(args, "valuation --tree", ("json",)):
+            return EXIT_USAGE
         tree = valuation.build_valuation_tree(args.prime, args.depth)
         print(tree.to_json())
         return EXIT_OK
@@ -122,6 +139,8 @@ def cmd_valuation(args) -> int:
             print(report.to_text())
         return EXIT_OK
     if args.nu3_check:
+        if _unhonoured_format(args, "valuation --nu3-check", ("plain",)):
+            return EXIT_USAGE
         ok = valuation.nu3_partial_sum_pattern_check(args.max)
         print("ok" if ok else "FAIL")
         return EXIT_OK if ok else EXIT_VERIFY
@@ -428,8 +447,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_format(p, choices=("plain", "json", "csv", "bfile")):
-        p.add_argument("--format", choices=choices, default="plain")
+    def add_format(p, choices=("plain", "json", "csv", "bfile"), default="plain"):
+        p.add_argument("--format", choices=choices, default=default)
 
     p = sub.add_parser("invol", help="involution numbers and polynomials")
     p.add_argument("--n", type=int)
@@ -456,7 +475,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cycle-index", action="store_true")
     p.add_argument("--determinant", action="store_true",
                    help="via the Toeplitz determinant (small n only)")
-    add_format(p, ("plain", "json"))
+    # no default: an action rejects an explicit format it cannot print
+    add_format(p, ("plain", "json"), default=None)
     p.set_defaults(func=cmd_restricted)
 
     p = sub.add_parser("valuation", help="p-adic valuations and trees")
@@ -469,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prime", type=int, default=5)
     p.add_argument("--depth", type=int, default=3)
     p.add_argument("--max", type=int, default=541)
-    add_format(p, ("plain", "json"))
+    add_format(p, ("plain", "json"), default=None)
     p.set_defaults(func=cmd_valuation)
 
     p = sub.add_parser("asym", help="saddle-point estimates")

@@ -18,7 +18,6 @@ from .exactnum import (
     nu_int,
     primes_upto,
 )
-from .involution import involution_number
 from .partialsum import partial_sum
 
 
@@ -60,10 +59,10 @@ def nu2_partial_sum(n: int) -> int:
 
 def involution_mod_sequence(modulus: int, n_max: int) -> list[int]:
     """I(0..n_max) reduced mod `modulus`, via the recurrence on residues."""
-    vals = [1 % modulus, 1 % modulus]
+    vals = [1 % modulus, 1 % modulus][: n_max + 1]
     for n in range(2, n_max + 1):
         vals.append((vals[n - 1] + (n - 1) * vals[n - 2]) % modulus)
-    return vals[: n_max + 1]
+    return vals
 
 
 def is_efficient(p: int) -> bool:
@@ -138,10 +137,13 @@ class ValuationTree:
         return json.dumps(doc, sort_keys=True)
 
 
+CERTIFY_N = 3  # members certified per terminal vertex by default
+
+
 def build_valuation_tree(
     p: int,
     max_level: int,
-    certify_n: int = 3,
+    certify_n: int = CERTIFY_N,
     max_representative: int = 10**6,
 ) -> ValuationTree:
     """Leveled refinement of residue classes mod p^level classifying nu_p(I(n)).
@@ -150,20 +152,35 @@ def build_valuation_tree(
     I(c) mod p^L != 0: by periodicity the whole class then shares the
     valuation nu_p(I(c)) < L.  Otherwise the vertex is non-terminal with
     lower bound L and is split into its p sub-classes at the next level.
-    Each terminal vertex is additionally spot-verified on `certify_n`
-    explicit members of its class using exact arithmetic.
+
+    Each terminal vertex is certified on its first `certify_n` members
+    c + i p^L from I(n) mod p^max_level, which decides every valuation
+    below max_level, so no exact I(n) is built.  Tree and certification
+    read one residue sweep of length max(certify_n, 1) * p^max_level.
+    Budget: p^max_level <= max_representative, and the sweep may be at
+    most CERTIFY_N * max_representative long (the default certification
+    at the largest admissible modulus); anything beyond raises ValueError
+    before any work is done.
     """
     if p == 2 or not is_prime(p):
         raise ValueError(f"{p} is not an odd prime")
     if max_level < 1:
         raise ValueError("requires max_level >= 1")
+    if certify_n < 0:
+        raise ValueError("requires certify_n >= 0")
     top_mod = p**max_level
     if top_mod > max_representative:
         raise ValueError(
             f"p^max_level = {top_mod} exceeds the compute budget "
             f"{max_representative}"
         )
-    residues = involution_mod_sequence(top_mod, top_mod - 1)
+    sweep = max(certify_n, 1) * top_mod
+    if sweep > CERTIFY_N * max_representative:
+        raise ValueError(
+            f"certifying {certify_n} members per vertex needs a residue sweep "
+            f"of {sweep}, beyond the budget {CERTIFY_N * max_representative}"
+        )
+    residues = involution_mod_sequence(top_mod, sweep - 1)
 
     tree = ValuationTree(prime=p, max_level=max_level)
     frontier = [0]  # non-terminal class representatives of the previous level
@@ -182,7 +199,7 @@ def build_valuation_tree(
                         value_mod //= p
                         v += 1
                     vertex = TreeVertex(level, c, terminal=True, valuation=v)
-                    _certify_terminal(vertex, p, certify_n)
+                    _certify_terminal(vertex, p, certify_n, residues)
                 else:
                     vertex = TreeVertex(level, c, terminal=False, lower_bound=level)
                     next_frontier.append(c)
@@ -195,11 +212,19 @@ def build_valuation_tree(
     return tree
 
 
-def _certify_terminal(vertex: TreeVertex, p: int, certify_n: int) -> None:
+def _certify_terminal(
+    vertex: TreeVertex, p: int, certify_n: int, residues: list[int]
+) -> None:
+    """Check nu_p(I(n)) on the class's first certify_n members.
+
+    `residues` holds I(n) mod p^max_level; the vertex's valuation is below
+    its level <= max_level, so a nonzero residue has the valuation of I(n).
+    """
     modulus = p**vertex.level
     for i in range(certify_n):
         n = vertex.residue + i * modulus
-        if nu_int(involution_number(n), p) != vertex.valuation:
+        r = residues[n]
+        if r == 0 or nu_int(r, p) != vertex.valuation:
             raise AssertionError(
                 f"terminal vertex {vertex} fails certification at n={n}"
             )
@@ -253,7 +278,9 @@ class ConjectureReport:
         return "\n".join(lines)
 
 
-def conjecture_check(p: int, max_level: int, certify_n: int = 3) -> ConjectureReport:
+def conjecture_check(
+    p: int, max_level: int, certify_n: int = CERTIFY_N
+) -> ConjectureReport:
     """Per-level counts against the single-non-terminal-vertex conjecture.
 
     A level conforms when it has exactly p-1 terminal vertices, all with

@@ -180,3 +180,33 @@ def test_threads_flag_is_rejected(capsys):
 def test_unhonoured_format_is_rejected(argv, capsys):
     assert run(argv) == EXIT_USAGE
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["restricted", "--n", "5", "--l", "4", "--format", "json"],
+    ["valuation", "--nu2-involution", "7", "--format", "json"],
+    ["valuation", "--nu2-partial-sum", "7", "--format", "json"],
+    ["valuation", "--nu3-check", "--max", "20", "--format", "json"],
+    ["valuation", "--tree", "--prime", "5", "--depth", "2", "--format", "plain"],
+], ids=["restricted-count-json", "valuation-nu2-involution-json",
+        "valuation-nu2-partial-sum-json", "valuation-nu3-check-json",
+        "valuation-tree-plain"])
+def test_format_the_action_cannot_print_is_rejected(argv, capsys):
+    assert run(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--format {argv[-1]} is not supported" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["restricted", "--n", "5", "--l", "4"],
+    ["valuation", "--nu2-involution", "7"],
+    ["valuation", "--nu3-check", "--max", "20"],
+    ["valuation", "--tree", "--prime", "5", "--depth", "2"],
+], ids=lambda argv: "-".join(argv[:2]))
+def test_format_the_action_prints_is_accepted(argv, capsys):
+    assert run(argv) == EXIT_OK
+    default = capsys.readouterr().out
+    fmt = "json" if "--tree" in argv else "plain"
+    assert run(argv + ["--format", fmt]) == EXIT_OK
+    assert capsys.readouterr().out == default

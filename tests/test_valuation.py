@@ -1,7 +1,13 @@
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from involutions import valuation
 from involutions.exactnum import nu_int, partitions, primes_upto
 from involutions.involution import involution_number
 from involutions.partialsum import partial_sum
@@ -133,6 +139,64 @@ def test_tree_terminal_certification():
                 for i in range(2):
                     n = v.residue + i * 5**v.level
                     assert nu_int(involution_number(n), 5) == v.valuation
+
+
+@pytest.mark.parametrize("perturb", [lambda r, m: 0, lambda r, m: 5 * r % m],
+                         ids=["zero", "times-p"])
+def test_tree_certification_catches_a_corrupt_member(monkeypatch, perturb):
+    # corrupt I(n) mod p^L at the second member of the class of 1 mod 5,
+    # which the tree itself never reads: only certification can see it
+    sweep = involution_mod_sequence
+
+    def corrupt(modulus, n_max):
+        residues = sweep(modulus, n_max)
+        residues[1 + 5] = perturb(residues[1 + 5], modulus)
+        return residues
+
+    monkeypatch.setattr(valuation, "involution_mod_sequence", corrupt)
+    with pytest.raises(AssertionError, match="n=6"):
+        build_valuation_tree(5, 3)
+
+
+def test_tree_certification_arguments():
+    with pytest.raises(ValueError):
+        build_valuation_tree(5, 2, certify_n=-1)
+    # certify_n = 0 certifies nothing but still builds the tree
+    assert build_valuation_tree(5, 2, certify_n=0).to_json() == (
+        build_valuation_tree(5, 2).to_json()
+    )
+    # the sweep is bounded by CERTIFY_N * max_representative
+    build_valuation_tree(5, 2, certify_n=3, max_representative=25)
+    with pytest.raises(ValueError):
+        build_valuation_tree(5, 2, certify_n=4, max_representative=25)
+
+
+@pytest.mark.parametrize("modulus", [5**6, 13**3, 3**40, 2**61 - 1])
+def test_mod_sequence_matches_exact_values(modulus):
+    assert involution_mod_sequence(modulus, 2000) == [
+        involution_number(n) % modulus for n in range(2001)
+    ]
+
+
+def test_deep_conjecture_check_runs_in_bounded_memory():
+    # 5^8 = 390625 is inside the default budget; the certification sweep
+    # is 3 * 5^8 residues and no exact I(n) is built
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(__file__).resolve().parent.parent / "src"),
+                      env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "involutions.cli", "valuation", "--conjecture",
+         "--prime", "5", "--depth", "8", "--format", "json"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["prime"] == 5 and len(doc["levels"]) == 8
+    # the largest child so far, hence an upper bound on this child's peak
+    peak_kb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+    assert peak_kb < 300 * 1024
 
 
 def test_tree_json_schema():
