@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import threading
 
-from .exactnum import binomial, factorial, nu_int
+from .exactnum import binomial, factorial
 
 
 class UniPoly:
@@ -92,31 +92,34 @@ class UniPoly:
         return s
 
 
-class InvolutionTable:
-    """Memoized I(0..N) via the recurrence I(n) = I(n-1) + (n-1) I(n-2).
+class RecurrenceTable:
+    """Memoized terms of a sequence given by its initial values and a step.
 
-    Extension is lock-protected so the shared table is safe under
-    concurrent callers.
+    `step(values, m)` returns term m from the terms before it.  Extension is
+    lock-protected so a shared table is safe under concurrent callers.
     """
 
-    def __init__(self):
-        self.values = [1, 1]
+    def __init__(self, name: str, initial, step):
+        self.values = list(initial)
+        self._name = name
+        self._step = step
         self._lock = threading.Lock()
 
     def get(self, n: int) -> int:
         if n < 0:
-            raise ValueError("involution number of negative index")
+            raise ValueError(f"{self._name} of negative index")
         if n >= len(self.values):
             with self._lock:
-                while len(self.values) <= n:
-                    m = len(self.values)
-                    self.values.append(
-                        self.values[m - 1] + (m - 1) * self.values[m - 2]
-                    )
+                values = self.values
+                while len(values) <= n:
+                    values.append(self._step(values, len(values)))
         return self.values[n]
 
 
-_TABLE = InvolutionTable()
+# I(n) = I(n-1) + (n-1) I(n-2)
+_TABLE = RecurrenceTable(
+    "involution number", [1, 1], lambda v, m: v[m - 1] + (m - 1) * v[m - 2]
+)
 
 
 def involution_number(n: int) -> int:
@@ -213,8 +216,3 @@ def perfect_matchings(n: int) -> int:
     if n % 2 == 1:
         return 0
     return double_factorial_odd(n // 2)
-
-
-def assert_double_factorial_odd(j: int) -> None:
-    if nu_int(double_factorial_odd(j), 2) != 0:
-        raise AssertionError(f"(2j)!/(j! 2^j) not odd at j={j}")

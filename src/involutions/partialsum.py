@@ -2,35 +2,17 @@
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 
 from .exactnum import binomial
-from .involution import double_factorial_odd, involution_number
+from .involution import RecurrenceTable, double_factorial_odd, involution_number
 
-
-class PartialSumTable:
-    """Memoized a(0..N) via a(n) = 2a(n-1) + (n-2)a(n-2) - (n-1)a(n-3)."""
-
-    def __init__(self):
-        self.values = [1, 2, 4]
-        self._lock = threading.Lock()
-
-    def get(self, n: int) -> int:
-        if n < 0:
-            raise ValueError("partial sum of negative index")
-        if n >= len(self.values):
-            with self._lock:
-                while len(self.values) <= n:
-                    m = len(self.values)
-                    v = self.values
-                    self.values.append(
-                        2 * v[m - 1] + (m - 2) * v[m - 2] - (m - 1) * v[m - 3]
-                    )
-        return self.values[n]
-
-
-_TABLE = PartialSumTable()
+# a(n) = 2a(n-1) + (n-2)a(n-2) - (n-1)a(n-3)
+_TABLE = RecurrenceTable(
+    "partial sum",
+    [1, 2, 4],
+    lambda v, m: 2 * v[m - 1] + (m - 2) * v[m - 2] - (m - 1) * v[m - 3],
+)
 
 
 def partial_sum(n: int) -> int:

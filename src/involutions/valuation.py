@@ -59,6 +59,8 @@ def nu2_partial_sum(n: int) -> int:
 
 def involution_mod_sequence(modulus: int, n_max: int) -> list[int]:
     """I(0..n_max) reduced mod `modulus`, via the recurrence on residues."""
+    if modulus < 1 or n_max < 0:
+        raise ValueError("requires modulus >= 1 and n_max >= 0")
     vals = [1 % modulus, 1 % modulus][: n_max + 1]
     for n in range(2, n_max + 1):
         vals.append((vals[n - 1] + (n - 1) * vals[n - 2]) % modulus)

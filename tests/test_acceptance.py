@@ -1,271 +1,50 @@
-"""Acceptance sweep: one test per criterion, one PASS/FAIL line each.
+"""Acceptance sweep: every `involutions verify` suite at its default bound.
 
-Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines and timings.  Criterion 5 asserts the periodicity congruence
-I(n + p^r) == I(n) mod p^r for the odd primes 3, 5, 7 and asserts that it
-is false for p = 2: I(0) = 1 is odd while I(2) = 2 is even, and the residues
-mod 2^r are zero from n = 4r - 2 on, so they cannot be purely periodic.  It
-prints the p = 2 counterexamples, so the false claim stays visible.
+`cli.SUITES` is the one registry of the paper's invariants; this module runs
+each suite once and prints one PASS/FAIL line with its runtime.  Run with
+`pytest tests/test_acceptance.py -v -s` to see the lines.
 """
 
 import time
-from fractions import Fraction
 
-import mpmath
+import pytest
 
-from involutions.asymptotic import (
-    beta_closed_form,
-    beta_series_extraction,
-    estimate_closed_form,
-    estimate_saddle,
-    fit_phi_coefficients,
-    log_exact_count,
-    solve_saddle,
-)
-from involutions.cyclecount import (
-    cycle_index_poly,
-    restricted_count,
-    toeplitz_determinant,
-)
-from involutions.exactnum import nu_int, nu_rat, partitions
-from involutions.involution import (
-    hermite_relation_check,
-    involution_number,
-    involution_number_bisplit,
-    involution_number_by_sum,
-    involution_poly,
-    perfect_matchings,
-)
-from involutions.oracle import (
-    census_cycle_index_terms,
-    census_fixed_point_poly,
-    census_involution_count,
-    census_restricted_count,
-    enumerate_census,
-)
-from involutions.partialsum import (
-    F_sum,
-    b_k,
-    partial_sum,
-    partial_sum_by_binomial,
-    partial_sum_running,
-)
-from involutions.series import (
-    cycle_egf_exponent,
-    involution_egf_check,
-    partial_sum_egf_check,
-    series_exp,
-    umbral_derivative_check,
-)
-from involutions.valuation import (
-    build_valuation_tree,
-    conjecture_check,
-    inefficient_primes_upto,
-    involution_mod_sequence,
-    is_efficient,
-    multinomial_congruence_check,
-    nu2_involution,
-    nu2_partial_sum,
-    periodicity_check,
-)
+from involutions.cli import SUITES
+
+# seconds each suite may take; a suite cannot be registered without one
+TIME_LIMITS = {
+    "tables": 1,
+    "involution-forms": 5,
+    "partial-sum-forms": 5,
+    "oracle": 15,
+    "toeplitz": 15,
+    "nu2-involution": 15,
+    "nu2-partial-sum": 15,
+    "periodicity": 10,
+    "efficiency": 5,
+    "tree-5": 10,
+    "f-sum": 30,
+    "egf": 10,
+    "congruence": 5,
+    "asymptotic": 60,
+    "hermite": 5,
+    "cauchy": 10,
+    "cycle-index": 10,
+    "nu3-pattern": 10,
+}
 
 
-def report(number, label, ok, started, limit):
+def test_every_suite_has_a_time_limit():
+    assert TIME_LIMITS.keys() == SUITES.keys()
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_suite(name):
+    check, default_bound = SUITES[name]
+    started = time.monotonic()
+    counterexample = check(default_bound)
     elapsed = time.monotonic() - started
-    verdict = "PASS" if ok else "FAIL"
-    print(f"criterion {number:2d} [{label}]: {verdict} ({elapsed:.2f}s)")
-    assert ok, f"criterion {number} ({label}) failed"
-    assert elapsed < limit, f"criterion {number} exceeded {limit}s ({elapsed:.2f}s)"
-
-
-def test_criterion_01_tables():
-    started = time.monotonic()
-    ok = [involution_number(n) for n in range(11)] == [
-        1, 1, 2, 4, 10, 26, 76, 232, 764, 2620, 9496
-    ] and [partial_sum(n) for n in range(11)] == [
-        1, 2, 4, 8, 18, 44, 120, 352, 1116, 3736, 13232
-    ]
-    report(1, "tables", ok, started, 1)
-
-
-def test_criterion_02_three_way_agreement():
-    started = time.monotonic()
-    ok = True
-    for n in range(201):
-        ref = involution_number(n)
-        split = n // 3
-        if involution_number_by_sum(n) != ref:
-            ok = False
-        if involution_number_bisplit(split, n - split) != ref:
-            ok = False
-    for n in range(501):
-        ref = partial_sum(n)
-        if partial_sum_by_binomial(n) != ref or partial_sum_running(n) != ref:
-            ok = False
-    report(2, "three-way agreement", ok, started, 10)
-
-
-def test_criterion_03_oracle_equivalence():
-    started = time.monotonic()
-    ok = True
-    for n in range(9):
-        census = enumerate_census(n)
-        if census_involution_count(census) != involution_number(n):
-            ok = False
-        if census_fixed_point_poly(census) != involution_poly(n):
-            ok = False
-        for l in range(1, n + 2):
-            if census_restricted_count(census, l) != restricted_count(n, l):
-                ok = False
-            if census_cycle_index_terms(census, l) != cycle_index_poly(n, l).terms:
-                ok = False
-    det = toeplitz_determinant(5, 4)
-    if sorted(det.terms.values()) != [1, 10, 15, 20, 20, 30]:
-        ok = False
-    if det != cycle_index_poly(5, 4) or det.sum_of_coefficients() != 96:
-        ok = False
-    report(3, "oracle equivalence", ok, started, 30)
-
-
-def test_criterion_04_valuation_sweeps():
-    started = time.monotonic()
-    ok = all(
-        nu2_involution(n) == nu_int(involution_number(n), 2) for n in range(2001)
-    ) and all(
-        nu2_partial_sum(n) == nu_int(partial_sum(n), 2) for n in range(1, 2001)
-    )
-    report(4, "nu2 sweeps", ok, started, 30)
-
-
-def test_criterion_05_periodicity():
-    started = time.monotonic()
-    # odd primes: I(n + p^r) == I(n) mod p^r holds
-    ok = all(
-        periodicity_check(p, r, 500) for p in (3, 5, 7) for r in (1, 2, 3)
-    )
-    # p = 2: false from n = 0 on, since I(0) = 1 is odd and I(2) = 2 is even
-    ok = ok and involution_number(0) % 2 != involution_number(2) % 2
-    for r in (1, 2, 3):
-        q = 2**r
-        vals = involution_mod_sequence(q, 500 + q)
-        # nu_2(I(n)) >= r exactly from n = 4r - 2 on, so the residues are
-        # eventually zero and cannot be purely periodic
-        onset = 4 * r - 2
-        ok = ok and vals[onset - 1] != 0 and not any(vals[onset:])
-        counterexamples = [n for n in range(501) if vals[n + q] != vals[n]]
-        ok = ok and not periodicity_check(2, r, 500)
-        ok = ok and counterexamples[:1] == [0]
-        ok = ok and all(n < onset for n in counterexamples)
-        print(f"periodicity mod 2^{r} fails at n = {counterexamples}")
-    report(5, "periodicity", ok, started, 10)
-
-
-def test_criterion_06_prime_classification():
-    started = time.monotonic()
-    ineff = inefficient_primes_upto(541)
-    ok = (
-        len(ineff) == 62
-        and ineff[0] == 5
-        and ineff[-1] == 541
-        and is_efficient(3)
-        and is_efficient(7)
-        and not any(is_efficient(p) for p in ineff)
-    )
-    report(6, "prime classification", ok, started, 5)
-
-
-def test_criterion_07_tree_5():
-    started = time.monotonic()
-    tree = build_valuation_tree(5, 2)
-    level1, level2 = tree.levels[0], tree.levels[1]
-    ok = (
-        [v.residue for v in level1] == [0, 1, 2, 3, 4]
-        and all(v.terminal and v.valuation == 0 for v in level1[:4])
-        and not level1[4].terminal
-        and [v.residue for v in level2] == [4, 9, 14, 19, 24]
-        and all(v.terminal and v.valuation == 1 for v in level2[:4])
-        and not level2[4].terminal
-        and level2[4].residue == 24
-    )
-    report_obj = conjecture_check(5, 5)
-    ok = ok and len(report_obj.levels) == 5
-    report(7, "tree T_5", ok, started, 10)
-
-
-def test_criterion_08_f_sums_and_b():
-    started = time.monotonic()
-    ok = True
-    for alpha in (1, 3, 5, 7, 9):
-        for beta in range(1, 7):
-            for k in range(1, 13):
-                expected = k + 1 if beta % 2 == 0 else k
-                if nu_int(F_sum(alpha, beta, k), 2) != expected:
-                    ok = False
-    ok = ok and all(nu_rat(b_k(k), 2) == k for k in range(1, 21))
-    ok = ok and all(4 * k * b_k(k) == partial_sum(4 * k - 1) for k in range(1, 26))
-    report(8, "F valuations and b_k", ok, started, 30)
-
-
-def test_criterion_09_egf_suite():
-    started = time.monotonic()
-    ok = involution_egf_check(30) and partial_sum_egf_check(30)
-    for l in range(1, 6):
-        f = series_exp(cycle_egf_exponent(l, 30))
-        if any(
-            f.egf_coefficient(n) != restricted_count(n, l) for n in range(31)
-        ):
-            ok = False
-    ok = ok and all(umbral_derivative_check(m, 30) for m in range(7))
-    report(9, "EGF suite", ok, started, 10)
-
-
-def test_criterion_10_congruences():
-    started = time.monotonic()
-    ok = all(
-        multinomial_congruence_check(p, n, lam)
-        for p in (3, 5, 7)
-        for n in range(1, 7)
-        for lam in partitions(n)
-    )
-    report(10, "multinomial congruences", ok, started, 5)
-
-
-def test_criterion_11_asymptotics():
-    started = time.monotonic()
-    ok = True
-    for (n, l) in ((100, 2), (1000, 2), (200, 3), (10**6, 4)):
-        if abs(solve_saddle(n, l, 1e-12).residual) >= 1e-10:
-            ok = False
-    err100 = abs(log_exact_count(100, 2) - estimate_saddle(100, 2).log_value)
-    err1000 = abs(log_exact_count(1000, 2) - estimate_saddle(1000, 2).log_value)
-    ok = ok and err1000 < err100
-    ratio = mpmath.exp(estimate_saddle(1000, 2).log_value - log_exact_count(1000, 2))
-    ok = ok and 0.95 < float(ratio) < 1.05
-    ok = ok and beta_series_extraction(2, 1) == Fraction(1)
-    for l in (2, 3):
-        coeffs = fit_phi_coefficients(l)
-        if abs(coeffs[l] - float(beta_closed_form(l, l))) >= 1e-3:
-            ok = False
-        if abs(coeffs[0] - float(beta_closed_form(l, 0))) >= 1e-3:
-            ok = False
-    # the printed-vs-Stirling discrepancy is reported, not asserted
-    est = estimate_closed_form(500, 2, beta_source="extracted")
-    print(
-        "closed form at n=500, l=2: log printed="
-        f"{mpmath.nstr(est.log_printed, 8)}, log Stirling-consistent="
-        f"{mpmath.nstr(est.log_stirling, 8)}, log exact="
-        f"{mpmath.nstr(mpmath.ln(mpmath.mpf(involution_number(500))), 8)}"
-    )
-    report(11, "asymptotics", ok, started, 60)
-
-
-def test_criterion_12_hermite_and_matchings():
-    started = time.monotonic()
-    ok = all(hermite_relation_check(n) for n in range(101))
-    for n in range(0, 41, 2):
-        expected = 1
-        for j in range(1, n, 2):
-            expected *= j
-        if involution_poly(n)(0) != expected or perfect_matchings(n) != expected:
-            ok = False
-    report(12, "Hermite and matchings", ok, started, 5)
+    print(f"suite {name}: {'PASS' if counterexample is None else 'FAIL'} ({elapsed:.2f}s)")
+    assert counterexample is None, f"suite {name} failed: {counterexample}"
+    limit = TIME_LIMITS[name]
+    assert elapsed < limit, f"suite {name} exceeded {limit}s ({elapsed:.2f}s)"

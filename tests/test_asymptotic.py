@@ -38,6 +38,8 @@ def test_solve_saddle_residual_bound():
         for l in (2, 3, 4, 7):
             sol = solve_saddle(n, l)
             assert abs(sol.residual) < 1e-12
+    for (n, l) in ((1000, 2), (200, 3)):
+        assert abs(solve_saddle(n, l).residual) < 1e-12
 
 
 def test_solve_saddle_preconditions():
@@ -105,6 +107,13 @@ def test_closed_form_estimate_stirling_vs_printed():
     assert est.log_printed - est.log_stirling == 500
     exact = mpmath.ln(mpmath.mpf(involution_number(500)))
     assert abs(est.log_stirling - exact) < 0.02 * abs(exact)
+    # the printed-vs-Stirling discrepancy is reported, not asserted
+    print(
+        "closed form at n=500, l=2: log printed="
+        f"{mpmath.nstr(est.log_printed, 8)}, log Stirling-consistent="
+        f"{mpmath.nstr(est.log_stirling, 8)}, log exact="
+        f"{mpmath.nstr(exact, 8)}"
+    )
 
 
 def test_closed_form_matches_saddle_estimate():

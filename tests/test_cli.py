@@ -140,6 +140,50 @@ def test_verify_list(capsys):
     assert out_lines(capsys) == sorted(SUITES)
 
 
+# the 18 suites and their default bounds; the benchmark's verify workload
+# expects exactly these names
+REGISTRY = {
+    "asymptotic": 1000,
+    "cauchy": 40,
+    "congruence": 6,
+    "cycle-index": 20,
+    "efficiency": 541,
+    "egf": 30,
+    "f-sum": 25,
+    "hermite": 100,
+    "involution-forms": 200,
+    "nu2-involution": 2000,
+    "nu2-partial-sum": 2000,
+    "nu3-pattern": 1000,
+    "oracle": 8,
+    "partial-sum-forms": 500,
+    "periodicity": 500,
+    "tables": 10,
+    "toeplitz": 8,
+    "tree-5": 5,
+}
+
+
+def test_registry_names_and_default_bounds():
+    assert {name: bound for name, (_, bound) in SUITES.items()} == REGISTRY
+
+
+def test_verify_runs_every_suite_at_its_default_bound(capsys, monkeypatch):
+    # the checks themselves run once, in tests/test_acceptance.py; here each
+    # is replaced by a stub that records the bound verify passes it
+    called = []
+    for name, (_, bound) in SUITES.items():
+        stub = lambda max_n, name=name: called.append((name, max_n))
+        monkeypatch.setitem(SUITES, name, (stub, bound))
+    assert run(["verify"]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [f"{name}: ok" for name in sorted(REGISTRY)]
+    assert captured.err.splitlines() == [
+        f"running {name} (max={REGISTRY[name]})" for name in sorted(REGISTRY)
+    ]
+    assert called == sorted(REGISTRY.items())
+
+
 def test_verify_single_suite(capsys):
     assert run(["verify", "--suite", "tables"]) == EXIT_OK
     assert out_lines(capsys) == ["tables: ok"]

@@ -1,12 +1,15 @@
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from involutions.exactnum import nu_int
 from involutions.involution import (
+    RecurrenceTable,
     UniPoly,
     double_factorial_odd,
     hermite_poly,
-    hermite_relation_check,
     involution_number,
     involution_number_bisplit,
     involution_number_by_sum,
@@ -24,6 +27,36 @@ def test_involution_number_examples():
     assert involution_number(10) == 9496
     assert involution_number(12) == 140152
     assert [involution_number(n) for n in range(11)] == KNOWN_TABLE
+
+
+def test_recurrence_table_under_concurrent_callers():
+    # a lost or doubled append would shift every later term; one round
+    # catches a missing lock only sometimes, so run several
+    reference = [involution_number(n) for n in range(2000)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            table = RecurrenceTable(
+                "I", [1, 1], lambda v, m: v[m - 1] + (m - 1) * v[m - 2]
+            )
+            start = threading.Barrier(8)
+            got = []
+
+            def read(k):
+                start.wait()
+                got.extend(table.get(n) == reference[n] for n in range(k % 3, 2000, 3))
+
+            threads = [threading.Thread(target=read, args=(k,)) for k in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            assert len(got) == 5334 and all(got)
+            assert table.values == reference
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_involution_number_by_sum_examples():
@@ -54,6 +87,12 @@ def test_bisplit_examples():
     assert involution_number_bisplit(3, 4) == 232
 
 
+def test_bisplit_third_split():
+    for n in range(201):
+        split = n // 3
+        assert involution_number_bisplit(split, n - split) == involution_number(n)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 200), st.data())
 def test_bisplit_any_split(total, data):
@@ -79,6 +118,15 @@ def test_involution_poly_evaluations():
         assert p(0) == perfect_matchings(n)
 
 
+def test_perfect_matchings_are_odd_double_factorials():
+    for n in range(0, 41, 2):
+        expected = 1
+        for j in range(1, n, 2):
+            expected *= j
+        assert involution_poly(n)(0) == expected
+        assert perfect_matchings(n) == expected
+
+
 def test_hermite_examples():
     assert hermite_poly(0) == UniPoly([1])
     assert hermite_poly(2) == UniPoly([-1, 0, 1])
@@ -90,12 +138,6 @@ def test_hermite_recurrence():
     for n in range(2, 60):
         expected = hermite_poly(n - 1).shift(1) + (-(n - 1)) * hermite_poly(n - 2)
         assert hermite_poly(n) == expected
-
-
-def test_hermite_relation():
-    for n in (0, 4, 15):
-        assert hermite_relation_check(n)
-    assert all(hermite_relation_check(n) for n in range(101))
 
 
 def test_umbral_examples():

@@ -2,13 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from involutions.exactnum import nu_rat
-from involutions.involution import double_factorial_odd, involution_number
+from involutions.involution import involution_number
 from involutions.partialsum import (
     F_sum,
     b_k,
     cauchy_alternating_sum,
-    cauchy_even_identity_check,
     partial_sum,
     partial_sum_by_binomial,
     partial_sum_running,
@@ -41,13 +39,6 @@ def test_cauchy_alternating_sum_examples():
     assert cauchy_alternating_sum(5) == 3
 
 
-def test_cauchy_identities_sweep():
-    for m in range(1, 41):
-        assert cauchy_alternating_sum(2 * m) == 0
-        assert cauchy_alternating_sum(2 * m + 1) == double_factorial_odd(m)
-        assert cauchy_even_identity_check(m)
-
-
 def test_f_sum_examples():
     assert F_sum(1, 0, 1) == 4 == involution_number(3)
     assert F_sum(1, 1, 1) == 10
@@ -75,16 +66,6 @@ def test_b_k_examples():
     assert b_k(1) == 2
     assert b_k(2) == 44
     assert b_k(3) == Fraction(12232, 3)
-
-
-def test_b_k_partial_sum_relation():
-    for k in range(1, 26):
-        assert 4 * k * b_k(k) == partial_sum(4 * k - 1)
-
-
-def test_b_k_two_adic_valuation():
-    for k in range(1, 21):
-        assert nu_rat(b_k(k), 2) == k
 
 
 def test_preconditions():

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from involutions.cyclecount import restricted_count
 from involutions.involution import involution_number
 from involutions.partialsum import partial_sum
 from involutions.series import (
@@ -139,6 +140,12 @@ def test_partial_sum_transform_on_involutions():
 @given(series(8))
 def test_lemma_partial_sums_any_series(w):
     assert lemma_partial_sums_check(w)
+
+
+def test_restricted_egf_coefficients():
+    for l in range(1, 6):
+        f = series_exp(cycle_egf_exponent(l, 30))
+        assert all(f.egf_coefficient(n) == restricted_count(n, l) for n in range(31))
 
 
 def test_umbral_derivative_identity():

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from involutions import valuation
-from involutions.exactnum import nu_int, partitions, primes_upto
+from involutions.exactnum import nu_int, primes_upto
 from involutions.involution import involution_number
 from involutions.partialsum import partial_sum
 from involutions.valuation import (
@@ -19,7 +19,6 @@ from involutions.valuation import (
     is_efficient,
     multinomial_congruence_check,
     nu2_involution,
-    nu2_involution_floor,
     nu2_partial_sum,
     nu3_partial_sum,
     nu3_partial_sum_pattern_check,
@@ -44,23 +43,11 @@ def test_nu2_involution_examples():
     assert nu2_involution(10) == 3
 
 
-def test_nu2_involution_sweep():
-    for n in range(2001):
-        v = nu_int(involution_number(n), 2)
-        assert nu2_involution(n) == v
-        assert nu2_involution_floor(n) == v
-
-
 def test_nu2_partial_sum_examples():
     assert nu2_partial_sum(7) == 5
     assert nu2_partial_sum(4) == 1
     assert nu2_partial_sum(6) == 3
     assert nu2_partial_sum(0) == 0  # documented convention, a(0) = 1
-
-
-def test_nu2_partial_sum_sweep():
-    for n in range(1, 2001):
-        assert nu2_partial_sum(n) == nu_int(partial_sum(n), 2)
 
 
 def test_is_efficient_examples():
@@ -85,6 +72,7 @@ def test_efficiency_partition_of_primes():
     ]
     assert all(is_efficient(p) for p in efficient)
     assert len(efficient) + len(INEFFICIENT_62) + 1 == len(primes_upto(541))
+    assert not any(is_efficient(p) for p in INEFFICIENT_62)
 
 
 def test_efficient_primes_never_divide():
@@ -100,10 +88,22 @@ def test_periodicity_examples():
     assert not periodicity_check(2, 1, 50)
 
 
-def test_periodicity_odd_primes_sweep():
-    for p in (3, 5, 7):
-        for r in (1, 2, 3):
-            assert periodicity_check(p, r, 500)
+def test_periodicity_is_false_at_p2():
+    # p = 2: false from n = 0 on, since I(0) = 1 is odd and I(2) = 2 is even
+    ok = involution_number(0) % 2 != involution_number(2) % 2
+    for r in (1, 2, 3):
+        q = 2**r
+        vals = involution_mod_sequence(q, 500 + q)
+        # nu_2(I(n)) >= r exactly from n = 4r - 2 on, so the residues are
+        # eventually zero and cannot be purely periodic
+        onset = 4 * r - 2
+        ok = ok and vals[onset - 1] != 0 and not any(vals[onset:])
+        counterexamples = [n for n in range(501) if vals[n + q] != vals[n]]
+        ok = ok and not periodicity_check(2, r, 500)
+        ok = ok and counterexamples[:1] == [0]
+        ok = ok and all(n < onset for n in counterexamples)
+        print(f"periodicity mod 2^{r} fails at n = {counterexamples}")
+    assert ok
 
 
 def test_tree_level_1():
@@ -122,6 +122,7 @@ def test_tree_level_2():
     for v in level2[:4]:
         assert v.terminal and v.valuation == 1
     assert not level2[4].terminal and level2[4].lower_bound == 2
+    assert tree.levels[0] == build_valuation_tree(5, 1).levels[0]
 
 
 def test_tree_13_level_1():
@@ -213,6 +214,7 @@ def test_conjecture_check_5():
     assert report.holds
     assert [lv.holds for lv in report.levels] == [True] * 4
     assert report.levels[0].n_terminal_at_expected == 4
+    assert len(conjecture_check(5, 5).levels) == 5
 
 
 def test_conjecture_check_13():
@@ -227,6 +229,19 @@ def test_conjecture_report_formats():
     assert doc["holds"] is True
     text = report.to_text()
     assert "p=5" in text and "holds" in text
+
+
+def test_mod_sequence_arguments():
+    with pytest.raises(ValueError):
+        involution_mod_sequence(7, -1)
+    with pytest.raises(ValueError):
+        involution_mod_sequence(7, -2)
+    with pytest.raises(ValueError):
+        involution_mod_sequence(0, 3)
+    with pytest.raises(ValueError):
+        involution_mod_sequence(-7, 3)
+    assert involution_mod_sequence(7, 0) == [1]
+    assert involution_mod_sequence(1, 3) == [0, 0, 0, 0]
 
 
 def test_tree_budget():
@@ -252,10 +267,3 @@ def test_multinomial_congruence_examples():
     assert multinomial_congruence_check(3, 2, (1, 1))
     assert multinomial_congruence_check(5, 2, (1, 1))
     assert multinomial_congruence_check(3, 1, (1,))
-
-
-def test_multinomial_congruence_sweep():
-    for p in (3, 5, 7):
-        for n in range(1, 7):
-            for lam in partitions(n):
-                assert multinomial_congruence_check(p, n, lam)
