@@ -146,16 +146,12 @@ def eta_power_laurent(l: int, k: int, order: int) -> list[Fraction]:
     return out
 
 
-def beta_series_extraction(l: int, k: int, order: int | None = None) -> Fraction:
+def beta_series_extraction(l: int, k: int) -> Fraction:
     """Exponent-polynomial coefficient beta_k for 0 < k < l, extracted as a
     residue: l/(k(l-k)) times the constant coefficient of eta(r)^(l-k)."""
     if not 0 < k < l:
         raise ValueError("requires 0 < k < l")
-    if order is None:
-        order = l + 2
-    if order < l - k:
-        raise ValueError("insufficient order to reach the constant coefficient")
-    series = eta_power_laurent(l, k, order)
+    series = eta_power_laurent(l, k, l - k)
     return Fraction(l, k * (l - k)) * series[l - k]
 
 
@@ -232,8 +228,8 @@ def phi_at(n: int, l: int, tol: float = 1e-20) -> mpmath.mpf:
         return mpmath.fsum(r**j / j for j in range(1, l + 1)) - n * mpmath.ln(r / eta)
 
 
-def fit_phi_coefficients(l: int, sample_ns=None, tail_terms: int = 4) -> dict[int, float]:
-    """Fit Phi(eta) against powers eta^k, k = -tail..l, in log-space samples.
+def fit_phi_coefficients(l: int, sample_ns=None) -> dict[int, float]:
+    """Fit Phi(eta) against powers eta^k, k = -4..l, in log-space samples.
 
     Returns the fitted coefficients for k = 0..l; used to confirm the
     closed-form beta_0 and beta_l numerically.  A few negative powers are
@@ -242,7 +238,7 @@ def fit_phi_coefficients(l: int, sample_ns=None, tail_terms: int = 4) -> dict[in
     many orders of magnitude); with as many samples as basis functions this
     is plain interpolation.
     """
-    powers = list(range(-tail_terms, l + 1))
+    powers = list(range(-4, l + 1))
     if sample_ns is None:
         # spread within [1e4, 1e6], at least as many samples as unknowns
         count = max(len(powers), 6)

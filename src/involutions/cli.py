@@ -204,7 +204,7 @@ def cmd_oracle(args) -> int:
 def _suite_tables(max_n: int):
     expected_i = [1, 1, 2, 4, 10, 26, 76, 232, 764, 2620, 9496]
     expected_a = [1, 2, 4, 8, 18, 44, 120, 352, 1116, 3736, 13232]
-    for n in range(11):
+    for n in range(max_n + 1):
         if involution.involution_number(n) != expected_i[n]:
             return f"involution table mismatch at n={n}"
         if partialsum.partial_sum(n) != expected_a[n]:
@@ -310,7 +310,7 @@ def _suite_nu3(max_n: int):
 
 def _suite_congruence(max_n: int):
     for p in (3, 5, 7):
-        for n in range(1, 7):
+        for n in range(1, max_n + 1):
             for lam in partitions(n):
                 if not valuation.multinomial_congruence_check(p, n, lam):
                     return f"congruence fails at p={p}, lambda={lam}"
@@ -325,7 +325,7 @@ def _suite_hermite(max_n: int):
 
 
 def _suite_oracle(max_n: int):
-    for n in range(min(max_n, 8) + 1):
+    for n in range(max_n + 1):
         census = oracle.enumerate_census(n)
         if census.counts != oracle.partition_census(n).counts:
             return f"census mismatch at n={n}"
@@ -340,7 +340,7 @@ def _suite_oracle(max_n: int):
 
 
 def _suite_cycle_index(max_n: int):
-    for n in range(min(max_n, 20) + 1):
+    for n in range(max_n + 1):
         for l in range(1, min(n, 6) + 1):
             poly = cyclecount.cycle_index_poly(n, l)
             if not poly.is_homogeneous(n):
@@ -351,7 +351,7 @@ def _suite_cycle_index(max_n: int):
 
 
 def _suite_toeplitz(max_n: int):
-    for n in range(min(max_n, 8) + 1):
+    for n in range(max_n + 1):
         for l in range(1, max(n, 1) + 1):
             if cyclecount.toeplitz_determinant(n, l) != cyclecount.cycle_index_poly(n, l):
                 return f"determinant mismatch at (n={n}, l={l})"
@@ -359,10 +359,9 @@ def _suite_toeplitz(max_n: int):
 
 
 def _suite_egf(max_n: int):
-    order = min(max_n, 30)
-    if not series.involution_egf_check(order):
+    if not series.involution_egf_check(max_n):
         return "involution EGF mismatch"
-    if not series.partial_sum_egf_check(order):
+    if not series.partial_sum_egf_check(max_n):
         return "partial sum EGF mismatch"
     for l in range(2, 6):
         f = series.series_exp(series.cycle_egf_exponent(l, 25))
@@ -370,7 +369,7 @@ def _suite_egf(max_n: int):
             if f.egf_coefficient(n) != cyclecount.restricted_count(n, l):
                 return f"restricted EGF mismatch at (n={n}, l={l})"
     for m in range(7):
-        if not series.umbral_derivative_check(m, order):
+        if not series.umbral_derivative_check(m, max_n):
             return f"umbral identity fails at m={m}"
     return None
 
@@ -413,6 +412,28 @@ SUITES = {
     "asymptotic": (_suite_asymptotic, 1000),
 }
 
+# Suites that check one statement at a fixed bound reject --max; the others
+# honour any --max >= 0 up to their cap here.
+FIXED_BOUND = ("efficiency", "tree-5", "f-sum", "egf")
+MAX_BOUND = {
+    "tables": 10,
+    "oracle": 8,
+    "cycle-index": 20,
+    "toeplitz": cyclecount.TOEPLITZ_MAX_N,
+}
+
+
+def _unhonoured_max(name: str, max_n: int) -> str | None:
+    """Why suite `name` cannot run at an explicit --max; None if it can."""
+    if name in FIXED_BOUND:
+        return f"suite {name} checks a fixed bound; --max is not supported"
+    if max_n < 0:
+        return "--max must be >= 0"
+    cap = MAX_BOUND.get(name)
+    if cap is not None and max_n > cap:
+        return f"suite {name} runs up to --max {cap}, not {max_n}"
+    return None
+
 
 def cmd_verify(args) -> int:
     if args.list:
@@ -423,6 +444,10 @@ def cmd_verify(args) -> int:
     for name in names:
         if name not in SUITES:
             print(f"unknown suite: {name}", file=sys.stderr)
+            return EXIT_USAGE
+        problem = args.max is not None and _unhonoured_max(name, args.max)
+        if problem:
+            print(f"verify: {problem}", file=sys.stderr)
             return EXIT_USAGE
     failed = False
     for name in names:
@@ -524,11 +549,16 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    # exact values are printed in full, past the interpreter's digit limit
+    digit_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        sys.set_int_max_str_digits(digit_limit)
 
 
 def main() -> None:

@@ -4,6 +4,7 @@ and the banded Toeplitz determinant representation."""
 from __future__ import annotations
 
 import json
+from collections import deque
 
 from .involution import UniPoly
 from .exactnum import as_partition
@@ -103,18 +104,16 @@ def restricted_count(n: int, l: int) -> int:
     """Number of permutations of n symbols with every cycle length <= l."""
     if n < 0 or l < 1:
         raise ValueError("requires n >= 0 and l >= 1")
-    d = [1]
-    for m in range(0, n):
-        # d(m+1) = sum_{j=1}^{l} m!/(m-j+1)! d(m+1-j)
+    window = deque([1], maxlen=l)  # d(m), d(m-1), ..., d(m-l+1)
+    for m in range(n):
+        # d(m+1) = sum_{j=0}^{l-1} m!/(m-j)! d(m-j)
         total = 0
         falling = 1
-        for j in range(1, l + 1):
-            if m + 1 - j < 0:
-                break
-            total += falling * d[m + 1 - j]
-            falling *= m - j + 1
-        d.append(total)
-    return d[n]
+        for j, value in enumerate(window):
+            total += falling * value
+            falling *= m - j
+        window.appendleft(total)
+    return window[0]
 
 
 def cycle_index_poly(n: int, l: int) -> CycleIndexPoly:

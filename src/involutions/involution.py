@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import threading
+from itertools import count, islice
 
 from .exactnum import binomial, factorial
 
@@ -92,39 +93,51 @@ class UniPoly:
         return s
 
 
-class RecurrenceTable:
-    """Memoized terms of a sequence given by its initial values and a step.
+def involution_numbers(modulus: int = 0):
+    """Yield I(0), I(1), ..., reduced mod `modulus` when it is nonzero.
 
-    `step(values, m)` returns term m from the terms before it.  Extension is
-    lock-protected so a shared table is safe under concurrent callers.
+    I(n) = I(n-1) + (n-1) I(n-2); only the last two terms are kept.
+    """
+    prev, cur = 0, 1
+    for m in count():
+        if modulus:
+            cur %= modulus
+        yield cur
+        prev, cur = cur, cur + m * prev
+
+
+class Cursor:
+    """Reads terms of a sequence from one generator, keeping only the last.
+
+    An ascending read advances the generator; a read below the last index
+    restarts it.  Reads are lock-protected, since a generator cannot be
+    advanced from two threads at once.
     """
 
-    def __init__(self, name: str, initial, step):
-        self.values = list(initial)
+    def __init__(self, name: str, terms):
         self._name = name
-        self._step = step
+        self._terms = terms  # returns a fresh generator of the sequence
         self._lock = threading.Lock()
+        self._generator, self._index, self._term = terms(), -1, None
 
-    def get(self, n: int) -> int:
+    def read(self, n: int) -> int:
         if n < 0:
             raise ValueError(f"{self._name} of negative index")
-        if n >= len(self.values):
-            with self._lock:
-                values = self.values
-                while len(values) <= n:
-                    values.append(self._step(values, len(values)))
-        return self.values[n]
+        with self._lock:
+            if n < self._index:
+                self._generator, self._index = self._terms(), -1
+            while self._index < n:
+                self._term = next(self._generator)
+                self._index += 1
+            return self._term
 
 
-# I(n) = I(n-1) + (n-1) I(n-2)
-_TABLE = RecurrenceTable(
-    "involution number", [1, 1], lambda v, m: v[m - 1] + (m - 1) * v[m - 2]
-)
+_CURSOR = Cursor("involution number", involution_numbers)
 
 
 def involution_number(n: int) -> int:
     """Number of involutions in the symmetric group on n symbols (OEIS A000085)."""
-    return _TABLE.get(n)
+    return _CURSOR.read(n)
 
 
 def involution_number_by_sum(n: int) -> int:
@@ -142,14 +155,15 @@ def double_factorial_odd(j: int) -> int:
 
 def involution_number_bisplit(n: int, m: int) -> int:
     """sum_k k! C(n,k) C(m,k) I(n-k) I(m-k); equals involution_number(n+m)."""
+    values = list(islice(involution_numbers(), max(n, m) + 1))
     total = 0
     for k in range(min(n, m) + 1):
         total += (
             factorial(k)
             * binomial(n, k)
             * binomial(m, k)
-            * involution_number(n - k)
-            * involution_number(m - k)
+            * values[n - k]
+            * values[m - k]
         )
     return total
 
@@ -208,7 +222,8 @@ def umbral_derivative_coeffs(m: int) -> UniPoly:
 
     P(x) = sum_k C(m,k) I(m-k) x^k.
     """
-    return UniPoly([binomial(m, k) * involution_number(m - k) for k in range(m + 1)])
+    values = list(islice(involution_numbers(), m + 1))
+    return UniPoly([binomial(m, k) * values[m - k] for k in range(m + 1)])
 
 
 def perfect_matchings(n: int) -> int:

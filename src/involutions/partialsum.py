@@ -3,21 +3,29 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count, islice
 
 from .exactnum import binomial
-from .involution import RecurrenceTable, double_factorial_odd, involution_number
+from .involution import Cursor, double_factorial_odd, involution_numbers
 
-# a(n) = 2a(n-1) + (n-2)a(n-2) - (n-1)a(n-3)
-_TABLE = RecurrenceTable(
-    "partial sum",
-    [1, 2, 4],
-    lambda v, m: 2 * v[m - 1] + (m - 2) * v[m - 2] - (m - 1) * v[m - 3],
-)
+
+def partial_sums():
+    """Yield a(0), a(1), ...: a(n) = 2a(n-1) + (n-2)a(n-2) - (n-1)a(n-3).
+
+    Only the last three terms are kept; a(-2) = a(-1) = 0 start the window.
+    """
+    x, y, z = 0, 0, 1
+    for m in count(1):
+        yield z
+        x, y, z = y, z, 2 * z + (m - 2) * y - (m - 1) * x
+
+
+_CURSOR = Cursor("partial sum", partial_sums)
 
 
 def partial_sum(n: int) -> int:
     """a(n) = I(0) + I(1) + ... + I(n), via the three-term recurrence."""
-    return _TABLE.get(n)
+    return _CURSOR.read(n)
 
 
 def partial_sum_by_binomial(n: int) -> int:
@@ -33,7 +41,7 @@ def partial_sum_by_binomial(n: int) -> int:
 
 def partial_sum_running(n: int) -> int:
     """Direct running sum of involution numbers, as an independent check."""
-    return sum(involution_number(j) for j in range(n + 1))
+    return sum(islice(involution_numbers(), n + 1))
 
 
 def cauchy_alternating_sum(n: int) -> int:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .exactnum import (
     as_partition,
@@ -18,6 +19,7 @@ from .exactnum import (
     nu_int,
     primes_upto,
 )
+from .involution import involution_numbers
 from .partialsum import partial_sum
 
 
@@ -61,10 +63,7 @@ def involution_mod_sequence(modulus: int, n_max: int) -> list[int]:
     """I(0..n_max) reduced mod `modulus`, via the recurrence on residues."""
     if modulus < 1 or n_max < 0:
         raise ValueError("requires modulus >= 1 and n_max >= 0")
-    vals = [1 % modulus, 1 % modulus][: n_max + 1]
-    for n in range(2, n_max + 1):
-        vals.append((vals[n - 1] + (n - 1) * vals[n - 2]) % modulus)
-    return vals
+    return list(islice(involution_numbers(modulus), n_max + 1))
 
 
 def is_efficient(p: int) -> bool:
@@ -139,15 +138,11 @@ class ValuationTree:
         return json.dumps(doc, sort_keys=True)
 
 
-CERTIFY_N = 3  # members certified per terminal vertex by default
+CERTIFY_N = 3  # members certified per terminal vertex
+TREE_BUDGET = 10**6  # largest p^max_level a tree may reach
 
 
-def build_valuation_tree(
-    p: int,
-    max_level: int,
-    certify_n: int = CERTIFY_N,
-    max_representative: int = 10**6,
-) -> ValuationTree:
+def build_valuation_tree(p: int, max_level: int) -> ValuationTree:
     """Leveled refinement of residue classes mod p^level classifying nu_p(I(n)).
 
     A vertex with representative c at level L is terminal exactly when
@@ -155,34 +150,23 @@ def build_valuation_tree(
     valuation nu_p(I(c)) < L.  Otherwise the vertex is non-terminal with
     lower bound L and is split into its p sub-classes at the next level.
 
-    Each terminal vertex is certified on its first `certify_n` members
+    Each terminal vertex is certified on its first CERTIFY_N members
     c + i p^L from I(n) mod p^max_level, which decides every valuation
     below max_level, so no exact I(n) is built.  Tree and certification
-    read one residue sweep of length max(certify_n, 1) * p^max_level.
-    Budget: p^max_level <= max_representative, and the sweep may be at
-    most CERTIFY_N * max_representative long (the default certification
-    at the largest admissible modulus); anything beyond raises ValueError
-    before any work is done.
+    read one residue sweep of length CERTIFY_N * p^max_level.  Budget:
+    p^max_level <= TREE_BUDGET; anything beyond raises ValueError before
+    any work is done.
     """
     if p == 2 or not is_prime(p):
         raise ValueError(f"{p} is not an odd prime")
     if max_level < 1:
         raise ValueError("requires max_level >= 1")
-    if certify_n < 0:
-        raise ValueError("requires certify_n >= 0")
     top_mod = p**max_level
-    if top_mod > max_representative:
+    if top_mod > TREE_BUDGET:
         raise ValueError(
-            f"p^max_level = {top_mod} exceeds the compute budget "
-            f"{max_representative}"
+            f"p^max_level = {top_mod} exceeds the compute budget {TREE_BUDGET}"
         )
-    sweep = max(certify_n, 1) * top_mod
-    if sweep > CERTIFY_N * max_representative:
-        raise ValueError(
-            f"certifying {certify_n} members per vertex needs a residue sweep "
-            f"of {sweep}, beyond the budget {CERTIFY_N * max_representative}"
-        )
-    residues = involution_mod_sequence(top_mod, sweep - 1)
+    residues = involution_mod_sequence(top_mod, CERTIFY_N * top_mod - 1)
 
     tree = ValuationTree(prime=p, max_level=max_level)
     frontier = [0]  # non-terminal class representatives of the previous level
@@ -201,7 +185,7 @@ def build_valuation_tree(
                         value_mod //= p
                         v += 1
                     vertex = TreeVertex(level, c, terminal=True, valuation=v)
-                    _certify_terminal(vertex, p, certify_n, residues)
+                    _certify_terminal(vertex, p, residues)
                 else:
                     vertex = TreeVertex(level, c, terminal=False, lower_bound=level)
                     next_frontier.append(c)
@@ -214,16 +198,14 @@ def build_valuation_tree(
     return tree
 
 
-def _certify_terminal(
-    vertex: TreeVertex, p: int, certify_n: int, residues: list[int]
-) -> None:
-    """Check nu_p(I(n)) on the class's first certify_n members.
+def _certify_terminal(vertex: TreeVertex, p: int, residues: list[int]) -> None:
+    """Check nu_p(I(n)) on the class's first CERTIFY_N members.
 
     `residues` holds I(n) mod p^max_level; the vertex's valuation is below
     its level <= max_level, so a nonzero residue has the valuation of I(n).
     """
     modulus = p**vertex.level
-    for i in range(certify_n):
+    for i in range(CERTIFY_N):
         n = vertex.residue + i * modulus
         r = residues[n]
         if r == 0 or nu_int(r, p) != vertex.valuation:
@@ -280,16 +262,14 @@ class ConjectureReport:
         return "\n".join(lines)
 
 
-def conjecture_check(
-    p: int, max_level: int, certify_n: int = CERTIFY_N
-) -> ConjectureReport:
+def conjecture_check(p: int, max_level: int) -> ConjectureReport:
     """Per-level counts against the single-non-terminal-vertex conjecture.
 
     A level conforms when it has exactly p-1 terminal vertices, all with
     valuation level-1, and exactly one non-terminal vertex.  The outcome is
     reported, never assumed.
     """
-    tree = build_valuation_tree(p, max_level, certify_n=certify_n)
+    tree = build_valuation_tree(p, max_level)
     report = ConjectureReport(prime=p, levels=[])
     for vertices in tree.levels:
         level = vertices[0].level

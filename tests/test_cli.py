@@ -1,8 +1,11 @@
 import json
+import sys
 
 import pytest
 
+from involutions import valuation
 from involutions.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, SUITES, run
+from involutions.involution import involution_number
 
 
 def out_lines(capsys):
@@ -39,6 +42,25 @@ def test_invol_table_json(capsys):
     doc = json.loads(out_lines(capsys)[0])
     assert doc["schema"] == "involutions/sequence/1"
     assert doc["values"] == ["1", "1", "2", "4"]
+
+
+def _is_decimal_of(text, value):
+    # checked without str(value), which the digit limit forbids here
+    digits = len(text)
+    return (text.isdigit() and int(text[-18:]) == value % 10**18
+            and 10 ** (digits - 1) <= value < 10**digits)
+
+
+def test_exact_values_print_past_the_digit_limit(capsys):
+    limit = sys.get_int_max_str_digits()
+    assert run(["invol", "--n", "3000"]) == EXIT_OK
+    (text,) = out_lines(capsys)
+    assert len(text) > limit and _is_decimal_of(text, involution_number(3000))
+    assert run(["invol", "--table", "--max", "3000", "--format", "bfile"]) == EXIT_OK
+    rows = [line.split(" ") for line in out_lines(capsys)]
+    assert [int(n) for n, _ in rows] == list(range(3001))
+    assert all(_is_decimal_of(v, involution_number(int(n))) for n, v in rows[2830:])
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_invol_usage_error(capsys):
@@ -182,6 +204,40 @@ def test_verify_runs_every_suite_at_its_default_bound(capsys, monkeypatch):
         f"running {name} (max={REGISTRY[name]})" for name in sorted(REGISTRY)
     ]
     assert called == sorted(REGISTRY.items())
+
+
+@pytest.mark.parametrize("argv", [
+    ["--suite", "tables", "--max", "11"],
+    ["--suite", "efficiency", "--max", "541"],
+    ["--suite", "tree-5", "--max", "5"],
+    ["--suite", "f-sum", "--max", "10"],
+    ["--suite", "egf", "--max", "30"],
+    ["--suite", "oracle", "--max", "9"],
+    ["--suite", "cycle-index", "--max", "21"],
+    ["--suite", "toeplitz", "--max", "9"],
+    ["--suite", "cauchy", "--max", "-1"],
+    ["--max", "5"],
+], ids=lambda argv: "-".join(argv[1::2]) if len(argv) > 2 else "all")
+def test_verify_rejects_a_max_it_cannot_honour(argv, capsys, monkeypatch):
+    called = []
+    for name, (_, bound) in SUITES.items():
+        monkeypatch.setitem(SUITES, name, (called.append, bound))
+    assert run(["verify"] + argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and called == []
+    assert captured.err.startswith("verify: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("suite, max_n", [("tables", 4), ("congruence", 8)])
+def test_verify_honours_max(suite, max_n, capsys, monkeypatch):
+    # the checks read their bound through these two functions
+    seen = []
+    monkeypatch.setattr(valuation, "multinomial_congruence_check",
+                        lambda p, n, lam: seen.append(n) or True)
+    monkeypatch.setattr("involutions.involution.involution_number",
+                        lambda n: seen.append(n) or involution_number(n))
+    assert run(["verify", "--suite", suite, "--max", str(max_n)]) == EXIT_OK
+    assert out_lines(capsys) == [f"{suite}: ok"] and max(seen) == max_n
 
 
 def test_verify_single_suite(capsys):

@@ -1,18 +1,23 @@
+import os
+import subprocess
 import sys
 import threading
+from itertools import islice
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from involutions.exactnum import nu_int
 from involutions.involution import (
-    RecurrenceTable,
+    Cursor,
     UniPoly,
     double_factorial_odd,
     hermite_poly,
     involution_number,
     involution_number_bisplit,
     involution_number_by_sum,
+    involution_numbers,
     involution_poly,
     involution_poly_by_recurrence,
     perfect_matchings,
@@ -29,23 +34,27 @@ def test_involution_number_examples():
     assert [involution_number(n) for n in range(11)] == KNOWN_TABLE
 
 
-def test_recurrence_table_under_concurrent_callers():
-    # a lost or doubled append would shift every later term; one round
+def test_cursor_under_concurrent_callers():
+    # a read racing another read's advance or restart returns the term of
+    # the wrong index or finds the generator already executing; one round
     # catches a missing lock only sometimes, so run several
-    reference = [involution_number(n) for n in range(2000)]
+    reference = list(islice(involution_numbers(), 300))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(20):
-            table = RecurrenceTable(
-                "I", [1, 1], lambda v, m: v[m - 1] + (m - 1) * v[m - 2]
-            )
+            cursor = Cursor("I", involution_numbers)
             start = threading.Barrier(8)
             got = []
 
             def read(k):
+                indices = range(k % 3, 300, 3)
                 start.wait()
-                got.extend(table.get(n) == reference[n] for n in range(k % 3, 2000, 3))
+                for n in reversed(indices) if k % 2 else indices:
+                    try:
+                        got.append(cursor.read(n) == reference[n])
+                    except ValueError:
+                        got.append(False)
 
             threads = [threading.Thread(target=read, args=(k,)) for k in range(8)]
             for t in threads:
@@ -53,10 +62,42 @@ def test_recurrence_table_under_concurrent_callers():
             for t in threads:
                 t.join(timeout=30)
             assert not any(t.is_alive() for t in threads)
-            assert len(got) == 5334 and all(got)
-            assert table.values == reference
+            assert len(got) == 800 and all(got)
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_descending_read_restarts():
+    assert involution_number(300) == involution_number_by_sum(300)
+    assert involution_number(299) == involution_number_by_sum(299)
+    assert involution_number(299) == involution_number_by_sum(299)  # same index
+    with pytest.raises(ValueError):
+        involution_number(-1)
+
+
+def test_reads_run_in_constant_memory():
+    # the cursor keeps one term: at the memo tables' n = 50000, I alone
+    # peaked at 1157 MB; the residues cross-check the values
+    child = (
+        "import resource\n"
+        "from involutions.involution import involution_number\n"
+        "from involutions.partialsum import partial_sum\n"
+        "from involutions.valuation import involution_mod_sequence\n"
+        "P = 2**61 - 1\n"
+        "residues = involution_mod_sequence(P, 50000)\n"
+        "assert involution_number(50000) % P == residues[-1]\n"
+        "assert partial_sum(50000) % P == sum(residues) % P\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(__file__).resolve().parent.parent / "src"),
+                      env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run([sys.executable, "-c", child], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 100 * 1024
 
 
 def test_involution_number_by_sum_examples():

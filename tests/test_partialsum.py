@@ -22,6 +22,13 @@ def test_partial_sum_examples():
     assert [partial_sum(n) for n in range(11)] == KNOWN_TABLE
 
 
+def test_descending_read_restarts():
+    assert partial_sum(300) == partial_sum_by_binomial(300)
+    assert partial_sum(299) == partial_sum_by_binomial(299)
+    with pytest.raises(ValueError):
+        partial_sum(-1)
+
+
 def test_partial_sum_by_binomial_examples():
     assert partial_sum_by_binomial(1) == 2
     assert partial_sum_by_binomial(4) == 18

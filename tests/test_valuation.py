@@ -133,7 +133,7 @@ def test_tree_13_level_1():
 
 def test_tree_terminal_certification():
     # certification compares each terminal claim against exact valuations
-    tree = build_valuation_tree(5, 3, certify_n=4)
+    tree = build_valuation_tree(5, 3)
     for level in tree.levels:
         for v in level:
             if v.terminal:
@@ -157,19 +157,6 @@ def test_tree_certification_catches_a_corrupt_member(monkeypatch, perturb):
     monkeypatch.setattr(valuation, "involution_mod_sequence", corrupt)
     with pytest.raises(AssertionError, match="n=6"):
         build_valuation_tree(5, 3)
-
-
-def test_tree_certification_arguments():
-    with pytest.raises(ValueError):
-        build_valuation_tree(5, 2, certify_n=-1)
-    # certify_n = 0 certifies nothing but still builds the tree
-    assert build_valuation_tree(5, 2, certify_n=0).to_json() == (
-        build_valuation_tree(5, 2).to_json()
-    )
-    # the sweep is bounded by CERTIFY_N * max_representative
-    build_valuation_tree(5, 2, certify_n=3, max_representative=25)
-    with pytest.raises(ValueError):
-        build_valuation_tree(5, 2, certify_n=4, max_representative=25)
 
 
 @pytest.mark.parametrize("modulus", [5**6, 13**3, 3**40, 2**61 - 1])
@@ -245,8 +232,9 @@ def test_mod_sequence_arguments():
 
 
 def test_tree_budget():
-    with pytest.raises(ValueError):
-        build_valuation_tree(5, 12)
+    # 5^9 = 1953125 is the first power of 5 beyond TREE_BUDGET = 10^6
+    with pytest.raises(ValueError, match="budget"):
+        build_valuation_tree(5, 9)
 
 
 def test_nu3_pattern_examples():
