@@ -119,11 +119,17 @@ def nu_factorial(n: int, p: int) -> int:
 
 
 def nu_int(x: int, p: int) -> int:
-    """Largest e with p**e dividing x; x must be nonzero."""
+    """Largest e with p**e dividing x; x must be nonzero.
+
+    For p = 2 this is the index of the lowest set bit, read in a fixed number
+    of big-integer operations; odd p divides once per factor.
+    """
     _require_prime(p)
     if x == 0:
         raise ZeroValuationError("valuation of 0 is undefined")
     x = abs(x)
+    if p == 2:
+        return (x & -x).bit_length() - 1
     e = 0
     while x % p == 0:
         x //= p
@@ -133,13 +139,4 @@ def nu_int(x: int, p: int) -> int:
 
 def nu_rat(x: Fraction, p: int) -> int:
     """nu_p extended to nonzero rationals; may be negative."""
-    _require_prime(p)
-    if x == 0:
-        raise ZeroValuationError("valuation of 0 is undefined")
-    num, den = x.numerator, x.denominator
-    v = 0
-    if num % p == 0:
-        v = nu_int(num, p)
-    if den % p == 0:
-        v -= nu_int(den, p)
-    return v
+    return nu_int(x.numerator, p) - nu_int(x.denominator, p)

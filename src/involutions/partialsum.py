@@ -29,13 +29,17 @@ def partial_sum(n: int) -> int:
 
 
 def partial_sum_by_binomial(n: int) -> int:
-    """The shifted-binomial form  sum_k (2k)!/(k! 2^k) C(n+1, 2k+1)."""
+    """The shifted-binomial form  sum_k (2k)!/(k! 2^k) C(n+1, 2k+1).
+
+    (2k-1)!! and C(n+1, 2k+1) are carried from term k to term k+1 by their
+    exact integer ratios 2k+1 and (n-2k)(n-2k-1) / ((2k+2)(2k+3)).
+    """
     total = 0
-    for k in range(0, (n + 1) // 2 + 1):
-        c = binomial(n + 1, 2 * k + 1)
-        if c == 0:
-            continue
-        total += double_factorial_odd(k) * c
+    odd, c = 1, n + 1
+    for k in range(n // 2 + 1):
+        total += odd * c
+        odd *= 2 * k + 1
+        c = c * (n - 2 * k) * (n - 2 * k - 1) // ((2 * k + 2) * (2 * k + 3))
     return total
 
 

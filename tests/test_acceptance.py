@@ -15,11 +15,11 @@ from involutions.cli import SUITES
 TIME_LIMITS = {
     "tables": 1,
     "involution-forms": 5,
-    "partial-sum-forms": 5,
+    "partial-sum-forms": 1,
     "oracle": 15,
     "toeplitz": 15,
-    "nu2-involution": 15,
-    "nu2-partial-sum": 15,
+    "nu2-involution": 1,
+    "nu2-partial-sum": 1,
     "periodicity": 10,
     "efficiency": 5,
     "tree-5": 10,

@@ -54,6 +54,8 @@ def test_log_factorial_exact_summation():
     with mpmath.mp.workdps(40):
         assert abs(log_factorial(5) - mpmath.ln(120)) < 1e-30
         assert abs(log_factorial(100) - mpmath.ln(mpmath.factorial(100))) < 1e-25
+        summed = mpmath.fsum(mpmath.ln(j) for j in range(1, 2001))
+        assert abs(log_factorial(2000) - summed) < 1e-30 * summed
 
 
 def test_saddle_estimate_accuracy_involutions():
