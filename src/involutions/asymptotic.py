@@ -1,8 +1,8 @@
 """Saddle-point first-order estimates for bounded-cycle permutation counts.
 
-All floating computations run through mpmath at configurable precision and
-stay in log-space until the end; the exponent-polynomial coefficients are
-exact rationals.
+All floating computations run through mpmath, at DEFAULT_DPS digits or 20
+digits past those of n when that is more, and stay in log-space until the
+end; the exponent-polynomial coefficients are exact rationals.
 """
 
 from __future__ import annotations
@@ -17,6 +17,13 @@ from .cyclecount import restricted_count
 from .exactnum import factorial
 
 DEFAULT_DPS = 40
+NEWTON_STEPS = 100  # Newton needs at most a dozen steps for l <= 200
+PHI_TOL = 1e-20
+
+
+def _precision(n: int) -> int:
+    """Working digits for input n: DEFAULT_DPS, or 20 past the digits of n."""
+    return max(DEFAULT_DPS, len(str(n)) + 20)
 
 
 @dataclass
@@ -31,57 +38,37 @@ def _saddle_value(r, l: int):
     return sum(r**j for j in range(1, l + 1))
 
 
-def solve_saddle(n: int, l: int, tol: float = 1e-12, max_iter: int = 100) -> SaddleSolution:
+def solve_saddle(n: int, l: int, tol: float = 1e-12) -> SaddleSolution:
     """Unique positive root of r + r^2 + ... + r^l = n.
 
-    Newton iteration from n^(1/l) with analytic derivative; falls back to
-    bisection on the bracket (0, n] if Newton stalls.
+    Newton iteration from n^(1/l) with analytic derivative.  The left side
+    minus n is increasing and convex for r > 0 and nonnegative at the start,
+    so the iterates fall monotonically onto the root.  `tol` bounds the
+    absolute residual; the working precision carries 20 digits past those
+    of n, so it stays reachable as n grows.
     """
     if n < 1 or l < 1 or tol <= 0:
         raise ValueError("requires n >= 1, l >= 1, tol > 0")
-    if l == 1:
-        return SaddleSolution(n, l, mpf(n), mpf(0))
-    with mp.workdps(DEFAULT_DPS):
+    with mp.workdps(_precision(n)):
         target = mpf(n)
         r = target ** (mpf(1) / l)
-        converged = False
-        for _ in range(max_iter):
-            f = _saddle_value(r, l) - target
-            if abs(f) < tol:
-                converged = True
-                break
-            fprime = sum(j * r ** (j - 1) for j in range(1, l + 1))
-            step = f / fprime
-            r = r - step
-            if r <= 0:
-                break
-        if not converged or not (0 < r <= target):
-            lo, hi = mpf("1e-30"), target
-            for _ in range(400):
-                mid = (lo + hi) / 2
-                if _saddle_value(mid, l) < target:
-                    lo = mid
-                else:
-                    hi = mid
-                r = (lo + hi) / 2
-                if abs(_saddle_value(r, l) - target) < tol:
-                    converged = True
-                    break
-        residual = _saddle_value(r, l) - target
-        if abs(residual) >= tol:
-            raise ArithmeticError(
-                f"saddle solver failed to reach tolerance {tol} at (n={n}, l={l})"
-            )
-        return SaddleSolution(n, l, r, residual)
+        for _ in range(NEWTON_STEPS):
+            residual = _saddle_value(r, l) - target
+            if abs(residual) < tol:
+                return SaddleSolution(n, l, r, residual)
+            r -= residual / sum(j * r ** (j - 1) for j in range(1, l + 1))
+    raise ArithmeticError(
+        f"saddle solver failed to reach tolerance {tol} at (n={n}, l={l})"
+    )
 
 
 def log_factorial(n: int) -> mpmath.mpf:
-    """ln n! as mpmath's loggamma(n + 1) at DEFAULT_DPS digits.
+    """ln n! as mpmath's loggamma(n + 1) at the working precision for n.
 
     mpmath evaluates it to the working precision, so the saddle error stays
     isolated from any Stirling truncation; the cost does not grow with n.
     """
-    with mp.workdps(DEFAULT_DPS):
+    with mp.workdps(_precision(n)):
         return mpmath.loggamma(n + 1)
 
 
@@ -103,7 +90,7 @@ def estimate_saddle(n: int, l: int, tol: float = 1e-12) -> SaddleEstimate:
     ln n! - ln sqrt(2 pi l n) + sum_j r^j / j - n ln r   at r = r_plus.
     """
     sol = solve_saddle(n, l, tol)
-    with mp.workdps(DEFAULT_DPS):
+    with mp.workdps(_precision(n)):
         r = sol.r_plus
         log_value = (
             log_factorial(n)
@@ -116,7 +103,7 @@ def estimate_saddle(n: int, l: int, tol: float = 1e-12) -> SaddleEstimate:
 
 def log_exact_count(n: int, l: int) -> mpmath.mpf:
     """ln of the exact count, from the integer recurrence."""
-    with mp.workdps(DEFAULT_DPS):
+    with mp.workdps(_precision(n)):
         return mpmath.ln(mpf(restricted_count(n, l)))
 
 
@@ -208,7 +195,7 @@ def estimate_closed_form(n: int, l: int, beta_source: str = "extracted") -> Clos
             betas[k] = beta_closed_form(l, k)
         else:
             betas[k] = beta_series_extraction(l, k)
-    with mp.workdps(DEFAULT_DPS):
+    with mp.workdps(_precision(n)):
         nn = mpf(n)
         exponent = mpf(betas[0].numerator) / betas[0].denominator
         for k in range(1, l + 1):
@@ -223,10 +210,10 @@ def estimate_closed_form(n: int, l: int, beta_source: str = "extracted") -> Clos
     return ClosedFormEstimate(n, l, beta_source, betas, log_printed, log_stirling)
 
 
-def phi_at(n: int, l: int, tol: float = 1e-20) -> mpmath.mpf:
+def phi_at(n: int, l: int) -> mpmath.mpf:
     """Phi(eta) = sum_j r^j / j - n ln(r / eta) at the saddle, eta = n^(1/l)."""
-    sol = solve_saddle(n, l, tol)
-    with mp.workdps(DEFAULT_DPS):
+    sol = solve_saddle(n, l, PHI_TOL)
+    with mp.workdps(_precision(n)):
         r = sol.r_plus
         eta = mpf(n) ** (mpf(1) / l)
         return mpmath.fsum(r**j / j for j in range(1, l + 1)) - n * mpmath.ln(r / eta)
@@ -237,18 +224,22 @@ def fit_phi_coefficients(l: int, sample_ns=None) -> dict[int, float]:
 
     Returns the fitted coefficients for k = 0..l; used to confirm the
     closed-form beta_0 and beta_l numerically.  A few negative powers are
-    included in the basis to absorb the 1/eta tail of the expansion.  The
-    normal equations are solved at high precision (the design matrix spans
-    many orders of magnitude); with as many samples as basis functions this
-    is plain interpolation.
+    included in the basis to absorb the 1/eta tail of the expansion.  There
+    is one sample per basis power, so the fit is interpolation, solved at
+    high precision (the design matrix spans many orders of magnitude); any
+    other number of samples raises ValueError.
     """
     powers = list(range(-4, l + 1))
     if sample_ns is None:
-        # spread within [1e4, 1e6], at least as many samples as unknowns
-        count = max(len(powers), 6)
+        # spread within [1e4, 1e6]
+        count = len(powers)
         sample_ns = [
             int(round(10 ** (4 + 2 * i / (count - 1)))) for i in range(count)
         ]
+    elif len(sample_ns) != len(powers):
+        raise ValueError(
+            f"requires {len(powers)} samples, one per power eta^-4..eta^{l}"
+        )
     with mp.workdps(DEFAULT_DPS):
         rows = []
         rhs = []
@@ -256,10 +247,5 @@ def fit_phi_coefficients(l: int, sample_ns=None) -> dict[int, float]:
             eta = mpf(n) ** (mpf(1) / l)
             rows.append([eta**k for k in powers])
             rhs.append(phi_at(n, l))
-        a = mpmath.matrix(rows)
-        b = mpmath.matrix(rhs)
-        if len(sample_ns) == len(powers):
-            coeffs = mpmath.lu_solve(a, b)
-        else:
-            coeffs = mpmath.lu_solve(a.T * a, a.T * b)
+        coeffs = mpmath.lu_solve(mpmath.matrix(rows), mpmath.matrix(rhs))
         return {k: float(coeffs[i]) for i, k in enumerate(powers) if k >= 0}

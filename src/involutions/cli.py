@@ -475,21 +475,24 @@ def build_parser() -> argparse.ArgumentParser:
     def add_format(p, choices=("plain", "json", "csv", "bfile"), default="plain"):
         p.add_argument("--format", choices=choices, default=default)
 
+    # each command runs one action; a second action flag is a usage error
     p = sub.add_parser("invol", help="involution numbers and polynomials")
-    p.add_argument("--n", type=int)
+    action = p.add_mutually_exclusive_group()
+    action.add_argument("--n", type=int)
+    action.add_argument("--table", action="store_true", help="print values 0..max")
+    action.add_argument("--hermite-check", action="store_true")
     p.add_argument("--poly", action="store_true", help="print the involution polynomial")
-    p.add_argument("--table", action="store_true", help="print values 0..max")
-    p.add_argument("--hermite-check", action="store_true")
     p.add_argument("--max", type=int, default=10)
     add_format(p)
     p.set_defaults(func=cmd_invol)
 
     p = sub.add_parser("sums", help="partial sums and Cauchy identities")
-    p.add_argument("--n", type=int)
-    p.add_argument("--table", action="store_true")
-    p.add_argument("--cauchy", type=int, metavar="N",
-                   help="alternating Cauchy sum at N")
-    p.add_argument("--b-k", type=int, metavar="K", help="rational b(K)")
+    action = p.add_mutually_exclusive_group()
+    action.add_argument("--n", type=int)
+    action.add_argument("--table", action="store_true")
+    action.add_argument("--cauchy", type=int, metavar="N",
+                        help="alternating Cauchy sum at N")
+    action.add_argument("--b-k", type=int, metavar="K", help="rational b(K)")
     p.add_argument("--max", type=int, default=10)
     add_format(p)
     p.set_defaults(func=cmd_sums)
@@ -497,20 +500,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("restricted", help="bounded-cycle permutation counts")
     p.add_argument("--n", type=int)
     p.add_argument("--l", type=int)
-    p.add_argument("--cycle-index", action="store_true")
-    p.add_argument("--determinant", action="store_true",
-                   help="via the Toeplitz determinant (small n only)")
+    action = p.add_mutually_exclusive_group()
+    action.add_argument("--cycle-index", action="store_true")
+    action.add_argument("--determinant", action="store_true",
+                        help="via the Toeplitz determinant (small n only)")
     # no default: an action rejects an explicit format it cannot print
     add_format(p, ("plain", "json"), default=None)
     p.set_defaults(func=cmd_restricted)
 
     p = sub.add_parser("valuation", help="p-adic valuations and trees")
-    p.add_argument("--nu2-involution", type=int, metavar="N")
-    p.add_argument("--nu2-partial-sum", type=int, metavar="N")
-    p.add_argument("--efficiency-scan", action="store_true")
-    p.add_argument("--tree", action="store_true")
-    p.add_argument("--conjecture", action="store_true")
-    p.add_argument("--nu3-check", action="store_true")
+    action = p.add_mutually_exclusive_group()
+    action.add_argument("--nu2-involution", type=int, metavar="N")
+    action.add_argument("--nu2-partial-sum", type=int, metavar="N")
+    action.add_argument("--efficiency-scan", action="store_true")
+    action.add_argument("--tree", action="store_true")
+    action.add_argument("--conjecture", action="store_true")
+    action.add_argument("--nu3-check", action="store_true")
     p.add_argument("--prime", type=int, default=5)
     p.add_argument("--depth", type=int, default=3)
     p.add_argument("--max", type=int, default=541)
@@ -520,11 +525,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("asym", help="saddle-point estimates")
     p.add_argument("--n", type=int)
     p.add_argument("--l", type=int, default=2)
-    p.add_argument("--saddle", action="store_true", help="print the saddle point")
-    p.add_argument("--beta", type=int, metavar="K",
-                   help="exponent coefficient beta_K (printed and extracted)")
-    p.add_argument("--sweep", type=int, nargs="+", metavar="N",
-                   help="CSV of exact vs estimate over the given n values")
+    action = p.add_mutually_exclusive_group()
+    action.add_argument("--saddle", action="store_true", help="print the saddle point")
+    action.add_argument("--beta", type=int, metavar="K",
+                        help="exponent coefficient beta_K (printed and extracted)")
+    action.add_argument("--sweep", type=int, nargs="+", metavar="N",
+                        help="CSV of exact vs estimate over the given n values")
     p.add_argument("--tol", type=float, default=1e-12)
     p.set_defaults(func=cmd_asym)
 

@@ -180,11 +180,8 @@ def build_valuation_tree(p: int, max_level: int) -> ValuationTree:
                 c = base + k * prev_modulus
                 value_mod = residues[c] % modulus
                 if value_mod != 0:
-                    v = 0
-                    while value_mod % p == 0:
-                        value_mod //= p
-                        v += 1
-                    vertex = TreeVertex(level, c, terminal=True, valuation=v)
+                    vertex = TreeVertex(level, c, terminal=True,
+                                        valuation=nu_int(value_mod, p))
                     _certify_terminal(vertex, p, residues)
                 else:
                     vertex = TreeVertex(level, c, terminal=False, lower_bound=level)

@@ -40,6 +40,13 @@ def test_solve_saddle_residual_bound():
             assert abs(sol.residual) < 1e-12
     for (n, l) in ((1000, 2), (200, 3)):
         assert abs(solve_saddle(n, l).residual) < 1e-12
+    # the working precision grows with n, so the absolute bound holds far
+    # past the 40 digits that reach only n ~ 10^29
+    for n in (10**29, 10**30, 10**40, 10**45):
+        for l in (2, 3, 4, 5):
+            sol = solve_saddle(n, l)
+            assert abs(sol.residual) < 1e-12
+            assert abs(sol.r_plus / mpmath.mpf(n) ** (mpmath.mpf(1) / l) - 1) < 1e-6
 
 
 def test_solve_saddle_preconditions():
@@ -124,6 +131,12 @@ def test_closed_form_matches_saddle_estimate():
         saddle = estimate_saddle(n, 2)
         closed = estimate_closed_form(n, 2)
         assert abs(closed.log_stirling - saddle.log_value) < 0.5
+    # their gap decays as n^(-1/l): gap * n^(1/l) settles (1/24 at l = 2)
+    for l, limit in ((2, 1 / 24), (3, -0.0710)):
+        for n in (10**12, 10**20, 10**30):
+            gap = estimate_saddle(n, l).log_value - estimate_closed_form(n, l).log_stirling
+            scaled = gap * mpmath.mpf(n) ** (mpmath.mpf(1) / l)
+            assert abs(scaled / limit - 1) < 0.01
 
 
 def test_estimate_closed_form_preconditions():
@@ -146,6 +159,15 @@ def test_phi_fit_recovers_betas_l3():
     assert abs(coeffs[0] - float(beta_closed_form(3, 0))) < 1e-5
     for k in (1, 2):
         assert abs(coeffs[k] - float(beta_series_extraction(3, k))) < 1e-7
+
+
+def test_phi_fit_rejects_a_wrong_sample_count():
+    # the basis eta^-4..eta^l has l + 5 powers: one sample each, no more
+    ns = [10**4 * 2**i for i in range(8)]
+    with pytest.raises(ValueError):
+        fit_phi_coefficients(2, ns[:6])
+    with pytest.raises(ValueError):
+        fit_phi_coefficients(2, ns)
 
 
 def test_phi_at_positive_and_growing():

@@ -130,6 +130,11 @@ def test_asym_saddle(capsys):
     assert abs(float(out_lines(capsys)[0]) - 3.0) < 1e-10
 
 
+def test_asym_saddle_at_large_n(capsys):
+    assert run(["asym", "--saddle", "--n", str(10**40), "--l", "2"]) == EXIT_OK
+    assert out_lines(capsys) == ["1.0e+20"]
+
+
 def test_asym_beta(capsys):
     assert run(["asym", "--beta", "1", "--l", "2"]) == EXIT_OK
     doc = json.loads(out_lines(capsys)[0])
@@ -267,6 +272,24 @@ def test_bad_flag_returns_usage(capsys):
 def test_threads_flag_is_rejected(capsys):
     assert run(["--threads", "2", "verify", "--list"]) == EXIT_USAGE
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["invol", "--table", "--hermite-check"],
+    ["invol", "--n", "5", "--table"],
+    ["sums", "--n", "7", "--cauchy", "3"],
+    ["sums", "--table", "--b-k", "2"],
+    ["restricted", "--n", "5", "--l", "3", "--cycle-index", "--determinant"],
+    ["valuation", "--tree", "--conjecture"],
+    ["valuation", "--nu2-involution", "7", "--nu2-partial-sum", "7"],
+    ["asym", "--saddle", "--n", "100", "--sweep", "10"],
+    ["asym", "--beta", "1", "--sweep", "10"],
+], ids=lambda argv: "-".join(a.lstrip("-") for a in argv))
+def test_two_actions_are_rejected(argv, capsys):
+    assert run(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not allowed with argument" in captured.err
 
 
 @pytest.mark.parametrize("argv", [
