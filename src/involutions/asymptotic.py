@@ -7,6 +7,7 @@ end; the exponent-polynomial coefficients are exact rationals.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,7 +24,12 @@ PHI_TOL = 1e-20
 
 def _precision(n: int) -> int:
     """Working digits for input n: DEFAULT_DPS, or 20 past the digits of n."""
-    return max(DEFAULT_DPS, len(str(n)) + 20)
+    # counted without str(n), which Python refuses past 4300 digits; the
+    # float log10 can be one off next to a power of ten
+    n = max(n, 1)
+    digits = int(math.log10(n)) + 1
+    digits += (n >= 10**digits) - (n < 10 ** (digits - 1))
+    return max(DEFAULT_DPS, digits + 20)
 
 
 @dataclass

@@ -1,5 +1,8 @@
 """Command-line front end: computations, exports, and verification sweeps.
 
+Each command runs one action from COMMANDS; an option that action does not
+read is rejected, never ignored.
+
 Exit codes: 0 success, 1 usage error, 2 verification failure (the first
 counterexample is printed).  Long sweeps stream progress to stderr so stdout
 stays pipeable.
@@ -9,8 +12,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 import mpmath
 
@@ -22,14 +27,20 @@ EXIT_USAGE = 1
 EXIT_VERIFY = 2
 
 
-def _emit_sequence(values, fmt: str, name: str) -> None:
-    if fmt == "bfile":
+def _usage(message: str) -> int:
+    print(message, file=sys.stderr)
+    return EXIT_USAGE
+
+
+def _print_table(term, name: str, args) -> None:
+    values = [term(n) for n in range(args.max + 1)]
+    if args.format == "bfile":
         for n, v in enumerate(values):
             print(f"{n} {v}")
-    elif fmt == "json":
+    elif args.format == "json":
         print(json.dumps({"schema": "involutions/sequence/1", "name": name,
                           "values": [str(v) for v in values]}, sort_keys=True))
-    elif fmt == "csv":
+    elif args.format == "csv":
         print("n,value")
         for n, v in enumerate(values):
             print(f"{n},{v}")
@@ -38,163 +49,54 @@ def _emit_sequence(values, fmt: str, name: str) -> None:
             print(v)
 
 
-def _unhonoured_format(args, action: str, honoured: tuple[str, ...]) -> bool:
-    """Report an explicit --format that `action` cannot print; True if so."""
-    if args.format is None or args.format in honoured:
-        return False
-    print(f"{action}: --format {args.format} is not supported here "
-          f"(choose {' or '.join(honoured)})", file=sys.stderr)
-    return True
+def _invol_n(args) -> None:
+    value = involution.involution_poly if args.poly else involution.involution_number
+    print(value(args.n))
 
 
-def cmd_invol(args) -> int:
-    if args.hermite_check:
-        ok = all(involution.hermite_relation_check(n) for n in range(args.max + 1))
-        print("ok" if ok else "FAIL")
-        return EXIT_OK if ok else EXIT_VERIFY
-    if args.table:
-        values = [involution.involution_number(n) for n in range(args.max + 1)]
-        _emit_sequence(values, args.format, "involution-numbers")
-        return EXIT_OK
-    if args.n is None:
-        print("invol: provide --n, --table or --hermite-check", file=sys.stderr)
-        return EXIT_USAGE
-    if args.poly:
-        print(involution.involution_poly(args.n))
+def _print_poly(poly, fmt: str) -> None:
+    print(poly.to_json() if fmt == "json" else poly)
+
+
+def _efficiency_scan(args) -> None:
+    primes = valuation.inefficient_primes_upto(args.max)
+    if args.format == "json":
+        print(json.dumps({"schema": "involutions/inefficient-primes/1",
+                          "bound": args.max, "primes": primes}, sort_keys=True))
     else:
-        print(involution.involution_number(args.n))
-    return EXIT_OK
+        for p in primes:
+            print(p)
 
 
-def cmd_sums(args) -> int:
-    if args.table:
-        values = [partialsum.partial_sum(n) for n in range(args.max + 1)]
-        _emit_sequence(values, args.format, "involution-partial-sums")
-        return EXIT_OK
-    if args.cauchy is not None:
-        print(partialsum.cauchy_alternating_sum(args.cauchy))
-        return EXIT_OK
-    if args.b_k is not None:
-        print(partialsum.b_k(args.b_k))
-        return EXIT_OK
-    if args.n is None:
-        print("sums: provide --n, --table, --cauchy or --b-k", file=sys.stderr)
-        return EXIT_USAGE
-    print(partialsum.partial_sum(args.n))
-    return EXIT_OK
+def _conjecture(args) -> None:
+    report = valuation.conjecture_check(args.prime, args.depth)
+    print(report.to_json() if args.format == "json" else report.to_text())
 
 
-def cmd_restricted(args) -> int:
-    if args.n is None or args.l is None:
-        print("restricted: provide --n and --l", file=sys.stderr)
-        return EXIT_USAGE
-    if args.cycle_index or args.determinant:
-        poly = (
-            cyclecount.toeplitz_determinant(args.n, args.l)
-            if args.determinant
-            else cyclecount.cycle_index_poly(args.n, args.l)
-        )
-        if args.format == "json":
-            print(poly.to_json())
-        else:
-            print(poly)
-        return EXIT_OK
-    if _unhonoured_format(args, "restricted", ("plain",)):
-        return EXIT_USAGE
-    print(cyclecount.restricted_count(args.n, args.l))
-    return EXIT_OK
+def _beta(args) -> None:
+    l, k = args.l, args.beta
+    printed = asymptotic.beta_closed_form(l, k)
+    extracted = asymptotic.beta_series_extraction(l, k) if 0 < k < l else printed
+    print(json.dumps({"schema": "involutions/beta/1", "l": l, "k": k,
+                      "printed": str(printed), "extracted": str(extracted)},
+                     sort_keys=True))
 
 
-def cmd_valuation(args) -> int:
-    if args.nu2_involution is not None:
-        if _unhonoured_format(args, "valuation --nu2-involution", ("plain",)):
-            return EXIT_USAGE
-        print(valuation.nu2_involution(args.nu2_involution))
-        return EXIT_OK
-    if args.nu2_partial_sum is not None:
-        if _unhonoured_format(args, "valuation --nu2-partial-sum", ("plain",)):
-            return EXIT_USAGE
-        print(valuation.nu2_partial_sum(args.nu2_partial_sum))
-        return EXIT_OK
-    if args.efficiency_scan:
-        primes = valuation.inefficient_primes_upto(args.max)
-        if args.format == "json":
-            print(json.dumps({"schema": "involutions/inefficient-primes/1",
-                              "bound": args.max, "primes": primes}, sort_keys=True))
-        else:
-            for p in primes:
-                print(p)
-        return EXIT_OK
-    if args.tree:
-        if _unhonoured_format(args, "valuation --tree", ("json",)):
-            return EXIT_USAGE
-        tree = valuation.build_valuation_tree(args.prime, args.depth)
-        print(tree.to_json())
-        return EXIT_OK
-    if args.conjecture:
-        report = valuation.conjecture_check(args.prime, args.depth)
-        if args.format == "json":
-            print(report.to_json())
-        else:
-            print(report.to_text())
-        return EXIT_OK
-    if args.nu3_check:
-        if _unhonoured_format(args, "valuation --nu3-check", ("plain",)):
-            return EXIT_USAGE
-        ok = valuation.nu3_partial_sum_pattern_check(args.max)
-        print("ok" if ok else "FAIL")
-        return EXIT_OK if ok else EXIT_VERIFY
-    print("valuation: no action selected", file=sys.stderr)
-    return EXIT_USAGE
+def _sweep(args) -> None:
+    print("n,l,exact,estimate,ratio,log_error")
+    for n in args.sweep:
+        print(f"... n={n}", file=sys.stderr)
+        est = asymptotic.estimate_saddle(n, args.l, args.tol)
+        log_exact = asymptotic.log_exact_count(n, args.l)
+        cells = (mpmath.exp(log_exact), est.value, mpmath.exp(est.log_value - log_exact),
+                 log_exact - est.log_value)
+        print(f"{n},{args.l}," + ",".join(mpmath.nstr(c, 10) for c in cells))
 
 
-def cmd_asym(args) -> int:
-    if args.beta is not None:
-        l, k = args.l, args.beta
-        if 0 < k < l:
-            printed = asymptotic.beta_closed_form(l, k)
-            extracted = asymptotic.beta_series_extraction(l, k)
-        else:
-            printed = extracted = asymptotic.beta_closed_form(l, k)
-        print(json.dumps({"schema": "involutions/beta/1", "l": l, "k": k,
-                          "printed": str(printed), "extracted": str(extracted)},
-                         sort_keys=True))
-        return EXIT_OK
-    if args.saddle:
-        sol = asymptotic.solve_saddle(args.n, args.l, args.tol)
-        print(mpmath.nstr(sol.r_plus, 17))
-        return EXIT_OK
-    if args.sweep:
-        print("n,l,exact,estimate,ratio,log_error")
-        for n in args.sweep:
-            print(f"... n={n}", file=sys.stderr)
-            est = asymptotic.estimate_saddle(n, args.l, args.tol)
-            log_exact = asymptotic.log_exact_count(n, args.l)
-            ratio = mpmath.exp(est.log_value - log_exact)
-            log_err = log_exact - est.log_value
-            print(
-                f"{n},{args.l},{mpmath.nstr(mpmath.exp(log_exact), 10)},"
-                f"{mpmath.nstr(est.value, 10)},{mpmath.nstr(ratio, 10)},"
-                f"{mpmath.nstr(log_err, 10)}"
-            )
-        return EXIT_OK
-    if args.n is None:
-        print("asym: provide --n (with --saddle/--estimate) or --beta/--sweep",
-              file=sys.stderr)
-        return EXIT_USAGE
-    est = asymptotic.estimate_saddle(args.n, args.l, args.tol)
-    print(mpmath.nstr(est.value, 12))
-    return EXIT_OK
-
-
-def cmd_oracle(args) -> int:
-    census = (
-        oracle.enumerate_census(args.n)
-        if args.n <= oracle.ENUMERATION_CAP and not args.formula
-        else oracle.partition_census(args.n)
-    )
+def _oracle(args) -> None:
+    by_formula = args.formula or args.n > oracle.ENUMERATION_CAP
+    census = (oracle.partition_census if by_formula else oracle.enumerate_census)(args.n)
     print(census.to_json())
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -435,33 +337,125 @@ def _unhonoured_max(name: str, max_n: int) -> str | None:
     return None
 
 
-def cmd_verify(args) -> int:
-    if args.list:
-        for name in sorted(SUITES):
-            print(name)
-        return EXIT_OK
+def _verify(args) -> int:
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
     for name in names:
         if name not in SUITES:
-            print(f"unknown suite: {name}", file=sys.stderr)
-            return EXIT_USAGE
+            return _usage(f"unknown suite: {name}")
         problem = args.max is not None and _unhonoured_max(name, args.max)
         if problem:
-            print(f"verify: {problem}", file=sys.stderr)
-            return EXIT_USAGE
-    failed = False
+            return _usage(f"verify: {problem}")
     for name in names:
         fn, default_max = SUITES[name]
         max_n = args.max if args.max is not None else default_max
         print(f"running {name} (max={max_n})", file=sys.stderr)
         counterexample = fn(max_n)
-        if counterexample is None:
-            print(f"{name}: ok")
-        else:
+        if counterexample is not None:
             print(f"{name}: FAIL: {counterexample}")
-            failed = True
-            break
-    return EXIT_VERIFY if failed else EXIT_OK
+            return EXIT_VERIFY
+        print(f"{name}: ok")
+    return EXIT_OK
+
+
+REQUIRED = object()  # the default of an option the action cannot run without
+
+
+class Action(NamedTuple):
+    """One action of a command: what it runs, reads and prints."""
+
+    run: Callable[[argparse.Namespace], int | None]  # prints; None means EXIT_OK
+    options: dict[str, object]  # each option it reads: its default, or REQUIRED
+    formats: tuple[str, ...] = ("plain",)  # the --format values, default first
+
+
+SEQUENCE_FORMATS = ("plain", "json", "csv", "bfile")
+N_AND_L = {"n": REQUIRED, "l": REQUIRED}
+PRIME_AND_DEPTH = {"prime": 5, "depth": 3}
+ASYM_OPTIONS = {"n": REQUIRED, "l": 2, "tol": 1e-12}
+
+# COMMANDS[command] maps the dest of each action flag to its action; the
+# key None is the action that runs when no action flag is given
+COMMANDS = {
+    "invol": {
+        "n": Action(_invol_n, {"poly": False}),
+        "table": Action(
+            lambda a: _print_table(involution.involution_number, "involution-numbers", a),
+            {"max": 10}, SEQUENCE_FORMATS),
+    },
+    "sums": {
+        "n": Action(lambda a: print(partialsum.partial_sum(a.n)), {}),
+        "table": Action(
+            lambda a: _print_table(partialsum.partial_sum, "involution-partial-sums", a),
+            {"max": 10}, SEQUENCE_FORMATS),
+        "cauchy": Action(lambda a: print(partialsum.cauchy_alternating_sum(a.cauchy)), {}),
+        "b_k": Action(lambda a: print(partialsum.b_k(a.b_k)), {}),
+    },
+    "restricted": {
+        None: Action(lambda a: print(cyclecount.restricted_count(a.n, a.l)), N_AND_L),
+        "cycle_index": Action(
+            lambda a: _print_poly(cyclecount.cycle_index_poly(a.n, a.l), a.format),
+            N_AND_L, ("plain", "json")),
+        "determinant": Action(
+            lambda a: _print_poly(cyclecount.toeplitz_determinant(a.n, a.l), a.format),
+            N_AND_L, ("plain", "json")),
+    },
+    "valuation": {
+        "nu2_involution": Action(
+            lambda a: print(valuation.nu2_involution(a.nu2_involution)), {}),
+        "nu2_partial_sum": Action(
+            lambda a: print(valuation.nu2_partial_sum(a.nu2_partial_sum)), {}),
+        "efficiency_scan": Action(_efficiency_scan, {"max": 541}, ("plain", "json")),
+        "tree": Action(
+            lambda a: print(valuation.build_valuation_tree(a.prime, a.depth).to_json()),
+            PRIME_AND_DEPTH, ("json",)),
+        "conjecture": Action(_conjecture, PRIME_AND_DEPTH, ("plain", "json")),
+    },
+    "asym": {
+        None: Action(
+            lambda a: print(mpmath.nstr(asymptotic.estimate_saddle(a.n, a.l, a.tol).value, 12)),
+            ASYM_OPTIONS),
+        "saddle": Action(
+            lambda a: print(mpmath.nstr(asymptotic.solve_saddle(a.n, a.l, a.tol).r_plus, 17)),
+            ASYM_OPTIONS),
+        "beta": Action(_beta, {"l": 2}),
+        "sweep": Action(_sweep, {"l": 2, "tol": 1e-12}),
+    },
+    "oracle": {None: Action(_oracle, {"n": REQUIRED, "formula": False})},
+    "verify": {
+        None: Action(_verify, {"suite": "all", "max": None}),
+        "list": Action(lambda a: print("\n".join(sorted(SUITES))), {}),
+    },
+}
+
+
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
+def _dispatch(args) -> int:
+    """Run the action `args` selects, if it reads every option given.
+
+    An absent option takes the action's default, and a REQUIRED one must be
+    given; an explicit --format must be one that the action prints.
+    """
+    actions = COMMANDS[args.command]
+    given = vars(args)
+    chosen = next((dest for dest in given if dest in actions), None)
+    action = actions[chosen]
+    label = args.command if chosen is None else f"{args.command} {_flag(chosen)}"
+    for dest in given:
+        if dest not in ("command", "format", chosen) and dest not in action.options:
+            return _usage(f"{label}: {_flag(dest)} is not used here")
+    for dest, default in action.options.items():
+        if dest not in given:
+            if default is REQUIRED:
+                return _usage(f"{label}: {_flag(dest)} is required")
+            setattr(args, dest, default)
+    args.format = given.get("format", action.formats[0])
+    if args.format not in action.formats:
+        return _usage(f"{label}: --format {args.format} is not supported here "
+                      f"(choose {' or '.join(action.formats)})")
+    return action.run(args) or EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -472,103 +466,99 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_format(p, choices=("plain", "json", "csv", "bfile"), default="plain"):
-        p.add_argument("--format", choices=choices, default=default)
+    def command(name, help):
+        # no option has a parser default, so only the options given appear in
+        # the namespace; _dispatch supplies the defaults of the action
+        return sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
 
     # each command runs one action; a second action flag is a usage error
-    p = sub.add_parser("invol", help="involution numbers and polynomials")
-    action = p.add_mutually_exclusive_group()
+    p = command("invol", help="involution numbers and polynomials")
+    action = p.add_mutually_exclusive_group(required=True)
     action.add_argument("--n", type=int)
     action.add_argument("--table", action="store_true", help="print values 0..max")
-    action.add_argument("--hermite-check", action="store_true")
     p.add_argument("--poly", action="store_true", help="print the involution polynomial")
-    p.add_argument("--max", type=int, default=10)
-    add_format(p)
-    p.set_defaults(func=cmd_invol)
+    p.add_argument("--max", type=int)
+    p.add_argument("--format", choices=SEQUENCE_FORMATS)
 
-    p = sub.add_parser("sums", help="partial sums and Cauchy identities")
-    action = p.add_mutually_exclusive_group()
+    p = command("sums", help="partial sums and Cauchy identities")
+    action = p.add_mutually_exclusive_group(required=True)
     action.add_argument("--n", type=int)
     action.add_argument("--table", action="store_true")
     action.add_argument("--cauchy", type=int, metavar="N",
                         help="alternating Cauchy sum at N")
     action.add_argument("--b-k", type=int, metavar="K", help="rational b(K)")
-    p.add_argument("--max", type=int, default=10)
-    add_format(p)
-    p.set_defaults(func=cmd_sums)
+    p.add_argument("--max", type=int)
+    p.add_argument("--format", choices=SEQUENCE_FORMATS)
 
-    p = sub.add_parser("restricted", help="bounded-cycle permutation counts")
+    p = command("restricted", help="bounded-cycle permutation counts")
     p.add_argument("--n", type=int)
     p.add_argument("--l", type=int)
     action = p.add_mutually_exclusive_group()
     action.add_argument("--cycle-index", action="store_true")
     action.add_argument("--determinant", action="store_true",
                         help="via the Toeplitz determinant (small n only)")
-    # no default: an action rejects an explicit format it cannot print
-    add_format(p, ("plain", "json"), default=None)
-    p.set_defaults(func=cmd_restricted)
+    p.add_argument("--format", choices=("plain", "json"))
 
-    p = sub.add_parser("valuation", help="p-adic valuations and trees")
-    action = p.add_mutually_exclusive_group()
+    p = command("valuation", help="p-adic valuations and trees")
+    action = p.add_mutually_exclusive_group(required=True)
     action.add_argument("--nu2-involution", type=int, metavar="N")
     action.add_argument("--nu2-partial-sum", type=int, metavar="N")
     action.add_argument("--efficiency-scan", action="store_true")
     action.add_argument("--tree", action="store_true")
     action.add_argument("--conjecture", action="store_true")
-    action.add_argument("--nu3-check", action="store_true")
-    p.add_argument("--prime", type=int, default=5)
-    p.add_argument("--depth", type=int, default=3)
-    p.add_argument("--max", type=int, default=541)
-    add_format(p, ("plain", "json"), default=None)
-    p.set_defaults(func=cmd_valuation)
+    p.add_argument("--prime", type=int)
+    p.add_argument("--depth", type=int)
+    p.add_argument("--max", type=int)
+    p.add_argument("--format", choices=("plain", "json"))
 
-    p = sub.add_parser("asym", help="saddle-point estimates")
+    p = command("asym", help="saddle-point estimates")
     p.add_argument("--n", type=int)
-    p.add_argument("--l", type=int, default=2)
+    p.add_argument("--l", type=int)
     action = p.add_mutually_exclusive_group()
     action.add_argument("--saddle", action="store_true", help="print the saddle point")
     action.add_argument("--beta", type=int, metavar="K",
                         help="exponent coefficient beta_K (printed and extracted)")
     action.add_argument("--sweep", type=int, nargs="+", metavar="N",
                         help="CSV of exact vs estimate over the given n values")
-    p.add_argument("--tol", type=float, default=1e-12)
-    p.set_defaults(func=cmd_asym)
+    p.add_argument("--tol", type=float)
 
-    p = sub.add_parser("oracle", help="brute-force cycle-type census")
-    p.add_argument("--n", type=int, required=True)
+    p = command("oracle", help="brute-force cycle-type census")
+    p.add_argument("--n", type=int)
     p.add_argument("--formula", action="store_true",
                    help="use the counting formula instead of enumeration")
-    p.set_defaults(func=cmd_oracle)
 
-    p = sub.add_parser("verify", help="run a named invariant suite")
-    p.add_argument("--suite", default="all")
+    p = command("verify", help="run a named invariant suite")
+    p.add_argument("--suite")
     p.add_argument("--list", action="store_true")
     p.add_argument("--max", type=int)
-    p.set_defaults(func=cmd_verify)
 
     return parser
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    # exact values are printed in full, past the interpreter's digit limit
+    # exact values are read and printed in full, past Python's digit limit
     digit_limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        return args.func(args)
+        return _dispatch(build_parser().parse_args(argv))
+    except SystemExit as exc:
+        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     except (ValueError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage(f"error: {exc}")
     finally:
         sys.set_int_max_str_digits(digit_limit)
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early: send what is left to devnull and
+        # exit 1 without a traceback, as in the SIGPIPE note of Python's docs
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

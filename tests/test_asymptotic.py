@@ -1,9 +1,12 @@
+import sys
 from fractions import Fraction
 
 import mpmath
 import pytest
 
 from involutions.asymptotic import (
+    DEFAULT_DPS,
+    _precision,
     beta_closed_form,
     beta_series_extraction,
     estimate_closed_form,
@@ -41,12 +44,25 @@ def test_solve_saddle_residual_bound():
     for (n, l) in ((1000, 2), (200, 3)):
         assert abs(solve_saddle(n, l).residual) < 1e-12
     # the working precision grows with n, so the absolute bound holds far
-    # past the 40 digits that reach only n ~ 10^29
-    for n in (10**29, 10**30, 10**40, 10**45):
+    # past the 40 digits that reach only n ~ 10^29, and past the 4300 digits
+    # that str(n) accepts
+    for n in (10**29, 10**30, 10**40, 10**45, 10**5000):
         for l in (2, 3, 4, 5):
             sol = solve_saddle(n, l)
             assert abs(sol.residual) < 1e-12
             assert abs(sol.r_plus / mpmath.mpf(n) ** (mpmath.mpf(1) / l) - 1) < 1e-6
+
+
+def test_precision_counts_the_digits_of_n():
+    ns = [1, 9, 10, 99, 100, 10**20 - 1, 10**20, 10**300 - 1, 10**300 + 1,
+          10**4299, 10**4300 - 1, 10**4300, 10**5000 + 7]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = [max(DEFAULT_DPS, len(str(n)) + 20) for n in ns]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert [_precision(n) for n in ns] == expected
 
 
 def test_solve_saddle_preconditions():

@@ -1,10 +1,14 @@
+import argparse
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from involutions import valuation
-from involutions.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, SUITES, run
+from involutions.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, SUITES, build_parser, run
 from involutions.involution import involution_number
 
 
@@ -15,6 +19,9 @@ def out_lines(capsys):
 def test_invol_single(capsys):
     assert run(["invol", "--n", "10"]) == EXIT_OK
     assert out_lines(capsys) == ["9496"]
+    # 0 is a value, not an absent action
+    assert run(["invol", "--n", "0"]) == EXIT_OK
+    assert out_lines(capsys) == ["1"]
 
 
 def test_invol_poly(capsys):
@@ -133,12 +140,19 @@ def test_asym_saddle(capsys):
 def test_asym_saddle_at_large_n(capsys):
     assert run(["asym", "--saddle", "--n", str(10**40), "--l", "2"]) == EXIT_OK
     assert out_lines(capsys) == ["1.0e+20"]
+    # an --n past the 4300 digits that int() reads by default
+    assert run(["asym", "--saddle", "--n", "1" + "0" * 5000, "--l", "2"]) == EXIT_OK
+    assert out_lines(capsys) == ["1.0e+2500"]
 
 
 def test_asym_beta(capsys):
     assert run(["asym", "--beta", "1", "--l", "2"]) == EXIT_OK
     doc = json.loads(out_lines(capsys)[0])
     assert doc["printed"] == "3/2" and doc["extracted"] == "1"
+    # 0 is a value, not an absent action
+    assert run(["asym", "--beta", "0", "--l", "3"]) == EXIT_OK
+    doc = json.loads(out_lines(capsys)[0])
+    assert doc["printed"] == doc["extracted"] == "-5/18"
 
 
 def test_asym_sweep_csv(capsys):
@@ -275,7 +289,7 @@ def test_threads_flag_is_rejected(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["invol", "--table", "--hermite-check"],
+    ["invol", "--table", "--n", "0"],
     ["invol", "--n", "5", "--table"],
     ["sums", "--n", "7", "--cauchy", "3"],
     ["sums", "--table", "--b-k", "2"],
@@ -309,10 +323,10 @@ def test_unhonoured_format_is_rejected(argv, capsys):
     ["restricted", "--n", "5", "--l", "4", "--format", "json"],
     ["valuation", "--nu2-involution", "7", "--format", "json"],
     ["valuation", "--nu2-partial-sum", "7", "--format", "json"],
-    ["valuation", "--nu3-check", "--max", "20", "--format", "json"],
+    ["sums", "--cauchy", "3", "--format", "json"],
     ["valuation", "--tree", "--prime", "5", "--depth", "2", "--format", "plain"],
 ], ids=["restricted-count-json", "valuation-nu2-involution-json",
-        "valuation-nu2-partial-sum-json", "valuation-nu3-check-json",
+        "valuation-nu2-partial-sum-json", "sums-cauchy-json",
         "valuation-tree-plain"])
 def test_format_the_action_cannot_print_is_rejected(argv, capsys):
     assert run(argv) == EXIT_USAGE
@@ -324,7 +338,7 @@ def test_format_the_action_cannot_print_is_rejected(argv, capsys):
 @pytest.mark.parametrize("argv", [
     ["restricted", "--n", "5", "--l", "4"],
     ["valuation", "--nu2-involution", "7"],
-    ["valuation", "--nu3-check", "--max", "20"],
+    ["sums", "--cauchy", "3"],
     ["valuation", "--tree", "--prime", "5", "--depth", "2"],
 ], ids=lambda argv: "-".join(argv[:2]))
 def test_format_the_action_prints_is_accepted(argv, capsys):
@@ -333,3 +347,115 @@ def test_format_the_action_prints_is_accepted(argv, capsys):
     fmt = "json" if "--tree" in argv else "plain"
     assert run(argv + ["--format", fmt]) == EXIT_OK
     assert capsys.readouterr().out == default
+
+
+@pytest.mark.parametrize("argv", [
+    ["invol", "--table", "--poly", "--max", "3"],
+    ["invol", "--n", "5", "--max", "3"],
+    ["invol", "--n", "5", "--format", "json"],
+    ["sums", "--n", "3", "--max", "5"],
+    ["sums", "--cauchy", "3", "--format", "csv"],
+    ["asym", "--n", "100", "--sweep", "10"],
+    ["asym", "--beta", "1", "--tol", "0.5"],
+    ["valuation", "--nu2-involution", "7", "--prime", "3"],
+    ["valuation", "--tree", "--max", "9", "--depth", "1", "--prime", "3"],
+    ["verify", "--list", "--suite", "tables"],
+], ids=lambda argv: "-".join(a.lstrip("-") for a in argv))
+def test_option_the_action_does_not_read_is_rejected(argv, capsys):
+    assert run(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+
+
+
+@pytest.mark.parametrize("argv, missing", [
+    (["restricted", "--n", "5"], "restricted: --l"),
+    (["asym", "--saddle"], "asym --saddle: --n"),
+    (["oracle", "--formula"], "oracle: --n"),
+], ids=["restricted-n-5", "asym-saddle", "oracle-formula"])
+def test_missing_required_option_is_rejected(argv, missing, capsys):
+    assert run(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"{missing} is required\n"
+
+
+# the options each action reads, written out here rather than taken from
+# cli.COMMANDS; None is the action that runs when no action flag is given
+READS = {
+    ("invol", "--n"): {"--poly"},
+    ("invol", "--table"): {"--max"},
+    ("sums", "--n"): set(),
+    ("sums", "--table"): {"--max"},
+    ("sums", "--cauchy"): set(),
+    ("sums", "--b-k"): set(),
+    ("restricted", None): {"--n", "--l"},
+    ("restricted", "--cycle-index"): {"--n", "--l"},
+    ("restricted", "--determinant"): {"--n", "--l"},
+    ("valuation", "--nu2-involution"): set(),
+    ("valuation", "--nu2-partial-sum"): set(),
+    ("valuation", "--efficiency-scan"): {"--max"},
+    ("valuation", "--tree"): {"--prime", "--depth"},
+    ("valuation", "--conjecture"): {"--prime", "--depth"},
+    ("asym", None): {"--n", "--l", "--tol"},
+    ("asym", "--saddle"): {"--n", "--l", "--tol"},
+    ("asym", "--beta"): {"--l"},
+    ("asym", "--sweep"): {"--l", "--tol"},
+    ("oracle", None): {"--n", "--formula"},
+    ("verify", None): {"--suite", "--max"},
+    ("verify", "--list"): set(),
+}
+
+
+def _parser_options():
+    """Each command's options, as build_parser() declares them, but --format."""
+    (commands,) = [a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    return {command: {a.option_strings[0]: a for a in parser._actions
+                      if a.option_strings and a.option_strings[0] not in ("-h", "--format")}
+            for command, parser in commands.choices.items()}
+
+
+def test_every_option_is_an_action_or_read_by_one():
+    options = _parser_options()
+    assert {command for command, _ in READS} == set(options)
+    for command, flags in options.items():
+        actions = {action for c, action in READS if c == command and action}
+        read = set().union(*(reads for (c, _), reads in READS.items() if c == command))
+        assert actions | read == set(flags)
+
+
+def _given(flag, option):
+    return [flag] if option.nargs == 0 else [flag, "2"]
+
+
+@pytest.mark.parametrize("command, action, option", [
+    (command, action, option)
+    for command, options in _parser_options().items()
+    for (c, action), reads in READS.items() if c == command
+    for option in options
+    if option not in reads and (command, option) not in READS
+], ids=lambda value: str(value).lstrip("-"))
+def test_every_option_the_action_does_not_read_is_rejected(command, action, option, capsys):
+    options = _parser_options()[command]
+    argv = [command] + (_given(action, options[action]) if action else [])
+    assert run(argv + _given(option, options[option])) == EXIT_USAGE
+    captured = capsys.readouterr()
+    label = f"{command} {action}" if action else command
+    assert captured.out == "" and captured.err == f"{label}: {option} is not used here\n"
+
+
+def test_closed_pipe_ends_without_a_traceback():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), env.get("PYTHONPATH")])
+    )
+    # far more output than a pipe buffers, so the writer meets the closed pipe
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "involutions.cli", "invol", "--table", "--max", "1000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.read(10) == b"1\n1\n2\n4\n10"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert err == b"" and proc.returncode == 1
