@@ -11,10 +11,12 @@ stays pipeable.
 from __future__ import annotations
 
 import argparse
+import decimal
 import json
 import os
 import sys
 from fractions import Fraction
+from itertools import islice
 from typing import Callable, NamedTuple
 
 import mpmath
@@ -32,21 +34,33 @@ def _usage(message: str) -> int:
     return EXIT_USAGE
 
 
-def _print_table(term, name: str, args) -> None:
-    values = [term(n) for n in range(args.max + 1)]
-    if args.format == "bfile":
-        for n, v in enumerate(values):
-            print(f"{n} {v}")
-    elif args.format == "json":
-        print(json.dumps({"schema": "involutions/sequence/1", "name": name,
-                          "values": [str(v) for v in values]}, sort_keys=True))
-    elif args.format == "csv":
-        print("n,value")
-        for n, v in enumerate(values):
-            print(f"{n},{v}")
-    else:
-        for v in values:
-            print(v)
+# Tables are computed in exact decimal, whose str() is linear in the number
+# of digits where str(int) is quadratic.  Every rounding is trapped, so a
+# table can fail but never print a wrong digit.
+_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
+                         traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation])
+
+
+def _print_table(terms, name: str, args) -> int | None:
+    """Print terms(one) for n = 0..max, each row as soon as it is computed."""
+    if args.max < 0:
+        return _usage(f"{args.command} --table: --max must be >= 0")
+    with decimal.localcontext(_EXACT):
+        rows = enumerate(islice(terms(one=decimal.Decimal(1)), args.max + 1))
+        if args.format == "json":
+            # the bytes of json.dumps(..., sort_keys=True), one value at a time
+            print(f'{{"name": {json.dumps(name)}, "schema": "involutions/sequence/1", '
+                  '"values": [', end="")
+            for n, v in rows:
+                print(f'{", " if n else ""}"{v}"', end="")
+            print("]}")
+            return None
+        if args.format == "csv":
+            print("n,value")
+        row = {"plain": "{1}", "csv": "{0},{1}", "bfile": "{0} {1}"}[args.format]
+        for n, v in rows:
+            print(row.format(n, v))
+    return None
 
 
 def _invol_n(args) -> None:
@@ -316,7 +330,7 @@ SUITES = {
 
 # Suites that check one statement at a fixed bound reject --max; the others
 # honour any --max >= 0 up to their cap here.
-FIXED_BOUND = ("efficiency", "tree-5", "f-sum", "egf")
+FIXED_BOUND = ("efficiency", "tree-5", "f-sum", "egf", "asymptotic")
 MAX_BOUND = {
     "tables": 10,
     "oracle": 8,
@@ -379,13 +393,13 @@ COMMANDS = {
     "invol": {
         "n": Action(_invol_n, {"poly": False}),
         "table": Action(
-            lambda a: _print_table(involution.involution_number, "involution-numbers", a),
+            lambda a: _print_table(involution.involution_numbers, "involution-numbers", a),
             {"max": 10}, SEQUENCE_FORMATS),
     },
     "sums": {
         "n": Action(lambda a: print(partialsum.partial_sum(a.n)), {}),
         "table": Action(
-            lambda a: _print_table(partialsum.partial_sum, "involution-partial-sums", a),
+            lambda a: _print_table(partialsum.partial_sums, "involution-partial-sums", a),
             {"max": 10}, SEQUENCE_FORMATS),
         "cauchy": Action(lambda a: print(partialsum.cauchy_alternating_sum(a.cauchy)), {}),
         "b_k": Action(lambda a: print(partialsum.b_k(a.b_k)), {}),

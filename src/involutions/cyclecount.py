@@ -120,26 +120,24 @@ def cycle_index_poly(n: int, l: int) -> CycleIndexPoly:
     """Cycle-index polynomial of the bounded-cycle permutations.
 
     Built from g(n) = Y1 g(n-1) + (n-1) Y2 g(n-2) + ... +
-    (n-1)...(n-l+1) Yl g(n-l); evaluating every variable at 1 gives the
-    restricted count.
+    (n-1)...(n-l+1) Yl g(n-l), keeping only the last l polynomials;
+    evaluating every variable at 1 gives the restricted count.
     """
     if n < 0 or l < 1:
         raise ValueError("requires n >= 0 and l >= 1")
-    series: list[CycleIndexPoly] = [CycleIndexPoly(l, {(0,) * l: 1})]
+    window = deque([CycleIndexPoly(l, {(0,) * l: 1})], maxlen=l)  # g(m-1), ..., g(m-l)
     for m in range(1, n + 1):
         terms: dict[tuple[int, ...], int] = {}
         falling = 1
-        for j in range(1, l + 1):
-            if m - j < 0:
-                break
-            for exps, coeff in series[m - j].terms.items():
+        for j, previous in enumerate(window, start=1):
+            for exps, coeff in previous.terms.items():
                 bumped = list(exps)
                 bumped[j - 1] += 1
                 key = tuple(bumped)
                 terms[key] = terms.get(key, 0) + falling * coeff
             falling *= m - j
-        series.append(CycleIndexPoly(l, terms))
-    return series[n]
+        window.appendleft(CycleIndexPoly(l, terms))
+    return window[0]
 
 
 def statistic_lookup(n: int, l: int, cycle_type) -> int:

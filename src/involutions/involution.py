@@ -93,12 +93,14 @@ class UniPoly:
         return s
 
 
-def involution_numbers(modulus: int = 0):
+def involution_numbers(modulus: int = 0, one=1):
     """Yield I(0), I(1), ..., reduced mod `modulus` when it is nonzero.
 
-    I(n) = I(n-1) + (n-1) I(n-2); only the last two terms are kept.
+    I(n) = I(n-1) + (n-1) I(n-2); only the last two terms are kept.  The
+    terms lie in the ring of `one`: int by default, decimal.Decimal for the
+    CLI tables, which print them.
     """
-    prev, cur = 0, 1
+    prev, cur = 0, one
     for m in count():
         if modulus:
             cur %= modulus

@@ -9,12 +9,13 @@ from .exactnum import binomial
 from .involution import Cursor, double_factorial_odd, involution_numbers
 
 
-def partial_sums():
+def partial_sums(one=1):
     """Yield a(0), a(1), ...: a(n) = 2a(n-1) + (n-2)a(n-2) - (n-1)a(n-3).
 
     Only the last three terms are kept; a(-2) = a(-1) = 0 start the window.
+    The terms lie in the ring of `one`, as in involution_numbers.
     """
-    x, y, z = 0, 0, 1
+    x, y, z = 0, 0, one
     for m in count(1):
         yield z
         x, y, z = y, z, 2 * z + (m - 2) * y - (m - 1) * x

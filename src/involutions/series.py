@@ -3,12 +3,16 @@
 Coefficients are stored as ordinary power-series coefficients c(n); the
 exponential-generating-function view multiplies by n! at the boundary
 (`egf_coefficient`).  Operations are exact through the stated order and never
-silently extend it.
+silently extend it.  Products and exp run their quadratic loops over integer
+numerators and reduce each output coefficient to lowest terms once.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 
 from .exactnum import factorial
 from .involution import involution_number, umbral_derivative_coeffs
@@ -84,17 +88,26 @@ class TruncatedEGF:
         return f"TruncatedEGF({self.coeffs!r}, order={self.order})"
 
 
+def _scaled(coeffs) -> tuple[list[int], int]:
+    """Integer numerators over the lcm of the denominators: c(i) = nums[i] / den."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
 def series_mul(a: TruncatedEGF, b: TruncatedEGF) -> TruncatedEGF:
-    """Exact Cauchy product, truncated to the smaller order."""
+    """Exact Cauchy product, truncated to the smaller order.
+
+    The product runs over integer numerators; each output coefficient is
+    reduced to lowest terms once.
+    """
     order = min(a.order, b.order)
-    out = [Fraction(0)] * (order + 1)
-    for i in range(order + 1):
-        ai = a.coeffs[i]
-        if ai == 0:
-            continue
-        for j in range(order + 1 - i):
-            out[i + j] += ai * b.coeffs[j]
-    return TruncatedEGF(out, order)
+    xs, x_den = _scaled(a.coeffs[: order + 1])
+    ys, y_den = _scaled(b.coeffs[: order + 1])
+    return TruncatedEGF(
+        [Fraction(sum(map(mul, xs[: n + 1], ys[n::-1])), x_den * y_den)
+         for n in range(order + 1)],
+        order,
+    )
 
 
 def series_derive(a: TruncatedEGF) -> TruncatedEGF:
@@ -114,20 +127,26 @@ def series_integrate(a: TruncatedEGF) -> TruncatedEGF:
 
 
 def series_exp(s: TruncatedEGF) -> TruncatedEGF:
-    """exp of a series with zero constant term, via E' = s' E."""
+    """exp of a series with zero constant term, via E' = s' E.
+
+    With s(k) = S(k)/L over the lcm L of its denominators and
+    e(n) = E(n)/(n! L^n), the recurrence (n+1) e(n+1) = sum_k (k+1) s(k+1) e(n-k)
+    becomes  E(n+1) = sum_k (k+1) S(k+1) L^k n!/(n-k)! E(n-k)  over the
+    integers; each e(n) is reduced to lowest terms once.
+    """
     if s.coeffs[0] != 0:
         raise ValueError("series_exp requires zero constant term")
-    order = s.order
-    out = [Fraction(0)] * (order + 1)
-    out[0] = Fraction(1)
-    for n in range(order):
-        # (n+1) e(n+1) = sum_{k=0}^{n} (k+1) s(k+1) e(n-k)
-        acc = Fraction(0)
-        for k in range(n + 1):
-            if k + 1 <= order:
-                acc += (k + 1) * s.coeffs[k + 1] * out[n - k]
-        out[n + 1] = acc / (n + 1)
-    return TruncatedEGF(out, order)
+    nums, den = _scaled(s.coeffs)
+    # (k+1) S(k+1) L^k, up to the last nonzero S
+    top = max((k for k, c in enumerate(nums) if c), default=0)
+    weights = [(k + 1) * nums[k + 1] * den**k for k in range(top)]
+    numerators = [1]  # E(0), E(1), ...
+    for n in range(s.order):
+        falling = accumulate(range(n, 0, -1), mul, initial=1)  # n!/(n-k)!, k = 0..n
+        numerators.append(sum(map(mul, weights, map(mul, falling, reversed(numerators)))))
+    return TruncatedEGF(
+        [Fraction(e, factorial(n) * den**n) for n, e in enumerate(numerators)], s.order
+    )
 
 
 def cycle_egf_exponent(l: int, order: int) -> TruncatedEGF:

@@ -1,4 +1,6 @@
 import argparse
+import decimal
+import functools
 import json
 import os
 import subprocess
@@ -7,9 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from involutions import valuation
+from involutions import cli, valuation
 from involutions.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, SUITES, build_parser, run
 from involutions.involution import involution_number
+from involutions.partialsum import partial_sum
 
 
 def out_lines(capsys):
@@ -68,6 +71,102 @@ def test_exact_values_print_past_the_digit_limit(capsys):
     assert [int(n) for n, _ in rows] == list(range(3001))
     assert all(_is_decimal_of(v, involution_number(int(n))) for n, v in rows[2830:])
     assert sys.get_int_max_str_digits() == limit
+
+
+@functools.lru_cache(maxsize=None)
+def _int_strings(command):
+    """str(int) of the cursor values 0..3000, past the digit limit."""
+    term = involution_number if command == "invol" else partial_sum
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return tuple(str(term(n)) for n in range(3001))
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _int_table(command, fmt, top):
+    """The table that the integer values print, by the rules of each format."""
+    values = _int_strings(command)[: top + 1]
+    if fmt == "json":
+        name = "involution-numbers" if command == "invol" else "involution-partial-sums"
+        return json.dumps({"schema": "involutions/sequence/1", "name": name,
+                           "values": list(values)}, sort_keys=True) + "\n"
+    rows = {"plain": list(values),
+            "csv": ["n,value"] + [f"{n},{v}" for n, v in enumerate(values)],
+            "bfile": [f"{n} {v}" for n, v in enumerate(values)]}[fmt]
+    return "".join(row + "\n" for row in rows)
+
+
+def _mismatch(text, expected):
+    """None if equal, else where they first differ (pytest's diff of
+    megabyte strings takes minutes)."""
+    if text == expected:
+        return None
+    at = next((i for i, (x, y) in enumerate(zip(text, expected)) if x != y),
+              min(len(text), len(expected)))
+    return at, text[max(at - 20, 0):at + 20], expected[max(at - 20, 0):at + 20]
+
+
+@pytest.mark.parametrize("top", [0, 5, 3000])
+@pytest.mark.parametrize("fmt", ["plain", "json", "csv", "bfile"])
+@pytest.mark.parametrize("command", ["invol", "sums"])
+def test_table_prints_the_integer_values(command, fmt, top, capsys):
+    assert run([command, "--table", "--max", str(top), "--format", fmt]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert _mismatch(captured.out, _int_table(command, fmt, top)) is None
+    assert captured.err == ""
+
+
+def _child_env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(__file__).resolve().parent.parent / "src"),
+                      env.get("PYTHONPATH")])
+    )
+    return env
+
+
+def test_table_streams_in_bounded_memory():
+    # rows are printed as they are computed: holding all 20001 values first
+    # peaked at 184 MB.  The command runs in a grandchild, started by a small
+    # interpreter, because on Linux a process's peak RSS includes its parent's
+    # at the fork, and the test process is large.
+    child = (
+        "import resource, subprocess, sys\n"
+        "code = subprocess.call([sys.executable, '-m', 'involutions.cli', 'invol', '--table',"
+        " '--max', '20000', '--format', 'bfile'])\n"
+        "print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss, file=sys.stderr)\n"
+    )
+    proc = subprocess.Popen([sys.executable, "-c", child], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=_child_env())
+    rows, last = 0, b""
+    for last in proc.stdout:
+        rows += 1
+    _, err = proc.communicate(timeout=120)
+    code, peak_kb = map(int, err.split())
+    assert code == EXIT_OK and rows == 20001
+    n, value = last.split()
+    assert n == b"20000" and decimal.Decimal(value.decode()) == involution_number(20000)
+    assert peak_kb < 40 * 1024
+
+
+def test_a_rounding_raises_before_its_row_prints(capsys, monkeypatch):
+    # at 10 digits, I(20) = I(19) + 19 I(18) is the first value to round:
+    # the exact context traps it, so no inexact or rounded row is printed
+    monkeypatch.setattr(cli, "_EXACT", cli._EXACT.copy())
+    cli._EXACT.prec = 10
+    assert run(["invol", "--table", "--max", "25"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [str(involution_number(n)) for n in range(20)]
+    assert captured.err.startswith("error: ") and "Rounded" in captured.err
+
+
+def test_tables_run_in_an_exact_context():
+    assert cli._EXACT.prec == decimal.MAX_PREC
+    assert (cli._EXACT.Emax, cli._EXACT.Emin) == (decimal.MAX_EMAX, decimal.MIN_EMIN)
+    for signal in (decimal.Inexact, decimal.Rounded, decimal.InvalidOperation):
+        assert cli._EXACT.traps[signal]
 
 
 def test_invol_usage_error(capsys):
@@ -235,6 +334,7 @@ def test_verify_runs_every_suite_at_its_default_bound(capsys, monkeypatch):
     ["--suite", "cycle-index", "--max", "21"],
     ["--suite", "toeplitz", "--max", "9"],
     ["--suite", "cauchy", "--max", "-1"],
+    ["--suite", "asymptotic", "--max", "3"],
     ["--max", "5"],
 ], ids=lambda argv: "-".join(argv[1::2]) if len(argv) > 2 else "all")
 def test_verify_rejects_a_max_it_cannot_honour(argv, capsys, monkeypatch):
@@ -360,11 +460,16 @@ def test_format_the_action_prints_is_accepted(argv, capsys):
     ["valuation", "--nu2-involution", "7", "--prime", "3"],
     ["valuation", "--tree", "--max", "9", "--depth", "1", "--prime", "3"],
     ["verify", "--list", "--suite", "tables"],
+    # and an option value the action cannot honour
+    ["invol", "--table", "--max", "-3"],
+    ["sums", "--table", "--max", "-2"],
 ], ids=lambda argv: "-".join(a.lstrip("-") for a in argv))
 def test_option_the_action_does_not_read_is_rejected(argv, capsys):
     assert run(argv) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.count("\n") == 1
+    # a usage line that names the action, not an error raised inside it
+    assert captured.err.startswith(f"{argv[0]} --")
 
 
 
@@ -445,15 +550,10 @@ def test_every_option_the_action_does_not_read_is_rejected(command, action, opti
 
 
 def test_closed_pipe_ends_without_a_traceback():
-    root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(root / "src"), env.get("PYTHONPATH")])
-    )
     # far more output than a pipe buffers, so the writer meets the closed pipe
     proc = subprocess.Popen(
         [sys.executable, "-m", "involutions.cli", "invol", "--table", "--max", "1000"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env(),
     )
     assert proc.stdout.read(10) == b"1\n1\n2\n4\n10"
     proc.stdout.close()

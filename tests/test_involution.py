@@ -1,3 +1,4 @@
+import decimal
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from involutions.cli import _EXACT
 from involutions.exactnum import nu_int
 from involutions.involution import (
     Cursor,
@@ -98,6 +100,15 @@ def test_reads_run_in_constant_memory():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout) < 100 * 1024
+
+
+def test_terms_over_decimal_equal_the_terms_over_int():
+    # the CLI tables run the generator over Decimal in the exact context
+    with decimal.localcontext(_EXACT):
+        over_decimal = list(islice(involution_numbers(one=decimal.Decimal(1)), 3001))
+    over_int = list(islice(involution_numbers(), 3001))
+    assert all(isinstance(d, decimal.Decimal) for d in over_decimal)
+    assert over_decimal == over_int
 
 
 def test_involution_number_by_sum_examples():

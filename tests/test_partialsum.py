@@ -1,7 +1,10 @@
+import decimal
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
+from involutions.cli import _EXACT
 from involutions.involution import involution_number
 from involutions.partialsum import (
     F_sum,
@@ -10,6 +13,7 @@ from involutions.partialsum import (
     partial_sum,
     partial_sum_by_binomial,
     partial_sum_running,
+    partial_sums,
 )
 
 KNOWN_TABLE = [1, 2, 4, 8, 18, 44, 120, 352, 1116, 3736, 13232]
@@ -20,6 +24,15 @@ def test_partial_sum_examples():
     assert partial_sum(10) == 13232
     assert partial_sum(11) == 13232 + involution_number(11) == 48928
     assert [partial_sum(n) for n in range(11)] == KNOWN_TABLE
+
+
+def test_terms_over_decimal_equal_the_terms_over_int():
+    # the CLI tables run the generator over Decimal in the exact context
+    with decimal.localcontext(_EXACT):
+        over_decimal = list(islice(partial_sums(one=decimal.Decimal(1)), 3001))
+    over_int = list(islice(partial_sums(), 3001))
+    assert all(isinstance(d, decimal.Decimal) for d in over_decimal)
+    assert over_decimal == over_int
 
 
 def test_descending_read_restarts():

@@ -33,6 +33,31 @@ def series(order):
     ).map(lambda cs: TruncatedEGF(cs, order))
 
 
+def fraction_mul(a, b):
+    """Reference Cauchy product: the Fraction loop, one gcd per step."""
+    order = min(a.order, b.order)
+    out = [Fraction(0)] * (order + 1)
+    for i in range(order + 1):
+        for j in range(order + 1 - i):
+            out[i + j] += a.coeffs[i] * b.coeffs[j]
+    return TruncatedEGF(out, order)
+
+
+def fraction_exp(s):
+    """Reference exp: (n+1) e(n+1) = sum_k (k+1) s(k+1) e(n-k) over Fractions."""
+    out = [Fraction(1)] + [Fraction(0)] * s.order
+    for n in range(s.order):
+        acc = Fraction(0)
+        for k in range(n + 1):
+            acc += (k + 1) * s.coeffs[k + 1] * out[n - k]
+        out[n + 1] = acc / (n + 1)
+    return TruncatedEGF(out, s.order)
+
+
+def without_constant(a):
+    return a - TruncatedEGF.x_power(0, a.order, a.coefficient(0))
+
+
 def test_truncated_egf_basics():
     f = TruncatedEGF([1, 2, 3])
     assert f.order == 2
@@ -108,6 +133,30 @@ def test_product_rule(a, b):
         a.truncate(4), series_derive(b)
     )
     assert lhs == rhs
+
+
+@settings(max_examples=40, deadline=None)
+@given(series(8), series(8), series(5))
+def test_integer_kernels_equal_the_fraction_loops(a, b, c):
+    assert series_mul(a, b) == fraction_mul(a, b)
+    assert series_mul(a, c) == fraction_mul(a, c)  # truncated to the smaller order
+    assert series_exp(without_constant(a)) == fraction_exp(without_constant(a))
+
+
+@pytest.mark.parametrize("l", [2, 3, 4, 5])
+def test_integer_kernels_equal_the_fraction_loops_at_order_120(l):
+    s = cycle_egf_exponent(l, 120)
+    f = series_exp(s)
+    assert f == fraction_exp(s)
+    top = TruncatedEGF.x_power(l, 120, Fraction(1, l))
+    shorter = series_exp(cycle_egf_exponent(l - 1, 120))
+    assert series_mul(shorter, series_exp(top)) == fraction_mul(shorter, fraction_exp(top)) == f
+    assert series_mul(f, s) == fraction_mul(f, s)
+
+
+def test_exp_of_zero_is_one():
+    assert series_exp(TruncatedEGF.zero(5)) == TruncatedEGF.one(5)
+    assert series_exp(TruncatedEGF.zero(0)) == TruncatedEGF.one(0)
 
 
 def test_cycle_egf_exponent():
