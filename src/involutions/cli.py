@@ -14,7 +14,9 @@ import argparse
 import decimal
 import json
 import os
+import resource
 import sys
+import time
 from fractions import Fraction
 from itertools import islice
 from typing import Callable, NamedTuple
@@ -256,9 +258,8 @@ def _suite_oracle(max_n: int):
 
 
 def _suite_cycle_index(max_n: int):
-    for n in range(max_n + 1):
-        for l in range(1, min(n, 6) + 1):
-            poly = cyclecount.cycle_index_poly(n, l)
+    for l in range(1, 7):
+        for n, poly in enumerate(islice(cyclecount.cycle_index_polys(l), max_n + 1)):
             if not poly.is_homogeneous(n):
                 return f"inhomogeneous cycle index at (n={n}, l={l})"
             if poly.sum_of_coefficients() != cyclecount.restricted_count(n, l):
@@ -352,6 +353,12 @@ def _unhonoured_max(name: str, max_n: int) -> str | None:
 
 
 def _verify(args) -> int:
+    """Run the suites in name order, stopping at the first that fails.
+
+    plain prints one line per suite as it ends; json prints one document
+    with a record per suite run, whose peak_rss_mb is the process's peak
+    resident set size (ru_maxrss, in KiB on Linux) when that suite ended.
+    """
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
     for name in names:
         if name not in SUITES:
@@ -359,16 +366,28 @@ def _verify(args) -> int:
         problem = args.max is not None and _unhonoured_max(name, args.max)
         if problem:
             return _usage(f"verify: {problem}")
+    records = []
     for name in names:
         fn, default_max = SUITES[name]
         max_n = args.max if args.max is not None else default_max
         print(f"running {name} (max={max_n})", file=sys.stderr)
+        started = time.perf_counter()
         counterexample = fn(max_n)
+        elapsed = time.perf_counter() - started
+        if args.format == "json":
+            records.append({
+                "suite": name, "max": max_n, "counterexample": counterexample,
+                "outcome": "ok" if counterexample is None else "fail",
+                "elapsed_s": round(elapsed, 6),
+                "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 2),
+            })
+        else:
+            print(f"{name}: ok" if counterexample is None else f"{name}: FAIL: {counterexample}")
         if counterexample is not None:
-            print(f"{name}: FAIL: {counterexample}")
-            return EXIT_VERIFY
-        print(f"{name}: ok")
-    return EXIT_OK
+            break
+    if args.format == "json":
+        print(json.dumps({"schema": "involutions/verify/1", "suites": records}, sort_keys=True))
+    return EXIT_OK if counterexample is None else EXIT_VERIFY
 
 
 REQUIRED = object()  # the default of an option the action cannot run without
@@ -436,7 +455,7 @@ COMMANDS = {
     },
     "oracle": {None: Action(_oracle, {"n": REQUIRED, "formula": False})},
     "verify": {
-        None: Action(_verify, {"suite": "all", "max": None}),
+        None: Action(_verify, {"suite": "all", "max": None}, ("plain", "json")),
         "list": Action(lambda a: print("\n".join(sorted(SUITES))), {}),
     },
 }
@@ -545,6 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite")
     p.add_argument("--list", action="store_true")
     p.add_argument("--max", type=int)
+    p.add_argument("--format", choices=("plain", "json"))
 
     return parser
 

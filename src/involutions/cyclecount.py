@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
+from itertools import count, islice
 
 from .involution import UniPoly
 from .exactnum import as_partition
@@ -116,17 +117,22 @@ def restricted_count(n: int, l: int) -> int:
     return window[0]
 
 
-def cycle_index_poly(n: int, l: int) -> CycleIndexPoly:
-    """Cycle-index polynomial of the bounded-cycle permutations.
+def cycle_index_polys(l: int):
+    """Yield the cycle-index polynomials g(0), g(1), ... for cycles <= l.
 
     Built from g(n) = Y1 g(n-1) + (n-1) Y2 g(n-2) + ... +
     (n-1)...(n-l+1) Yl g(n-l), keeping only the last l polynomials;
     evaluating every variable at 1 gives the restricted count.
     """
-    if n < 0 or l < 1:
-        raise ValueError("requires n >= 0 and l >= 1")
+    if l < 1:
+        raise ValueError("requires l >= 1")
+    return _cycle_index_steps(l)
+
+
+def _cycle_index_steps(l: int):
     window = deque([CycleIndexPoly(l, {(0,) * l: 1})], maxlen=l)  # g(m-1), ..., g(m-l)
-    for m in range(1, n + 1):
+    for m in count(1):
+        yield window[0]
         terms: dict[tuple[int, ...], int] = {}
         falling = 1
         for j, previous in enumerate(window, start=1):
@@ -137,7 +143,13 @@ def cycle_index_poly(n: int, l: int) -> CycleIndexPoly:
                 terms[key] = terms.get(key, 0) + falling * coeff
             falling *= m - j
         window.appendleft(CycleIndexPoly(l, terms))
-    return window[0]
+
+
+def cycle_index_poly(n: int, l: int) -> CycleIndexPoly:
+    """Cycle-index polynomial g(n) of the permutations with cycles <= l."""
+    if n < 0 or l < 1:
+        raise ValueError("requires n >= 0 and l >= 1")
+    return next(islice(cycle_index_polys(l), n, None))
 
 
 def statistic_lookup(n: int, l: int, cycle_type) -> int:
@@ -158,7 +170,7 @@ def statistic_lookup(n: int, l: int, cycle_type) -> int:
     return cycle_index_poly(n, l).coefficient(tuple(exps))
 
 
-TOEPLITZ_MAX_N = 8  # cofactor expansion is a verification path, not an engine
+TOEPLITZ_MAX_N = 12  # cofactor expansion is a verification path, not an engine
 
 
 def toeplitz_matrix(n: int, l: int) -> list[list[dict[tuple[int, ...], int]]]:
@@ -203,22 +215,32 @@ def _poly_mul(a: dict, b: dict) -> dict:
 
 
 def _det_cofactor(matrix: list[list[dict]], l: int) -> dict[tuple[int, ...], int]:
-    """Cofactor expansion along the first row, skipping zero entries."""
-    if not matrix:
-        return {(0,) * l: 1}
-    total: dict[tuple[int, ...], int] = {}
-    for col, entry in enumerate(matrix[0]):
-        if not entry:
-            continue
-        minor = [row[:col] + row[col + 1 :] for row in matrix[1:]]
-        sign = -1 if col % 2 else 1
-        for exps, coeff in _poly_mul(entry, _det_cofactor(minor, l)).items():
-            total[exps] = total.get(exps, 0) + sign * coeff
-    return {exps: coeff for exps, coeff in total.items() if coeff}
+    """Cofactor expansion along the first row, skipping zero entries.
+
+    The minor left after the top rows are expanded is fixed by the columns
+    it keeps, so each one is expanded once and looked up after that.
+    """
+    minors: dict[tuple[int, ...], dict] = {(): {(0,) * l: 1}}
+
+    def det(cols: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+        if cols in minors:
+            return minors[cols]
+        row = matrix[len(matrix) - len(cols)]
+        total: dict[tuple[int, ...], int] = {}
+        for i, col in enumerate(cols):
+            if not row[col]:
+                continue
+            sign = -1 if i % 2 else 1
+            for exps, coeff in _poly_mul(row[col], det(cols[:i] + cols[i + 1 :])).items():
+                total[exps] = total.get(exps, 0) + sign * coeff
+        minors[cols] = {exps: coeff for exps, coeff in total.items() if coeff}
+        return minors[cols]
+
+    return det(tuple(range(len(matrix))))
 
 
 def toeplitz_determinant(n: int, l: int) -> CycleIndexPoly:
-    """det of the banded Toeplitz matrix, as a verification path for n <= 8.
+    """det of the banded Toeplitz matrix, a verification path for n <= 12.
 
     Expands the real form of the matrix (see toeplitz_matrix), whose
     determinant equals that of the paper's Gaussian-integer form.

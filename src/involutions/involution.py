@@ -142,12 +142,22 @@ def involution_number(n: int) -> int:
     return _CURSOR.read(n)
 
 
+def involution_terms(n: int):
+    """Yield t(j) = n!/((n-2j)! j! 2^j) for j = 0..n//2.
+
+    t(j) = C(n,2j) (2j-1)!! counts the involutions of n points with j
+    2-cycles.  It is carried from term to term by its exact integer ratio
+    t(j+1) = t(j) (n-2j)(n-2j-1) / (2j+2).
+    """
+    t = 1
+    for j in range(n // 2 + 1):
+        yield t
+        t = t * (n - 2 * j) * (n - 2 * j - 1) // (2 * j + 2)
+
+
 def involution_number_by_sum(n: int) -> int:
     """The finite sum  sum_j C(n,2j) C(2j,j) j!/2^j, computed independently."""
-    total = 0
-    for j in range(n // 2 + 1):
-        total += binomial(n, 2 * j) * binomial(2 * j, j) * factorial(j) // 2**j
-    return total
+    return sum(involution_terms(n))
 
 
 def double_factorial_odd(j: int) -> int:
@@ -159,14 +169,10 @@ def involution_number_bisplit(n: int, m: int) -> int:
     """sum_k k! C(n,k) C(m,k) I(n-k) I(m-k); equals involution_number(n+m)."""
     values = list(islice(involution_numbers(), max(n, m) + 1))
     total = 0
+    weight = 1  # k! C(n,k) C(m,k), carried by its ratio (n-k)(m-k)/(k+1)
     for k in range(min(n, m) + 1):
-        total += (
-            factorial(k)
-            * binomial(n, k)
-            * binomial(m, k)
-            * values[n - k]
-            * values[m - k]
-        )
+        total += weight * values[n - k] * values[m - k]
+        weight = weight * (n - k) * (m - k) // (k + 1)
     return total
 
 
@@ -177,8 +183,8 @@ def involution_poly(n: int) -> UniPoly:
     involution number.
     """
     coeffs = [0] * (n + 1)
-    for j in range(n // 2 + 1):
-        coeffs[n - 2 * j] = binomial(n, 2 * j) * double_factorial_odd(j)
+    for j, t in enumerate(involution_terms(n)):
+        coeffs[n - 2 * j] = t
     return UniPoly(coeffs)
 
 
@@ -198,8 +204,8 @@ def hermite_poly(n: int) -> UniPoly:
     H(n) = n! sum_j (-1)^j / (j! (n-2j)! 2^j) t^(n-2j).
     """
     coeffs = [0] * (n + 1)
-    for j in range(n // 2 + 1):
-        coeffs[n - 2 * j] = (-1) ** j * binomial(n, 2 * j) * double_factorial_odd(j)
+    for j, t in enumerate(involution_terms(n)):
+        coeffs[n - 2 * j] = -t if j % 2 else t
     return UniPoly(coeffs)
 
 

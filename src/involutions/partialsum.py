@@ -6,7 +6,7 @@ from fractions import Fraction
 from itertools import count, islice
 
 from .exactnum import binomial
-from .involution import Cursor, double_factorial_odd, involution_numbers
+from .involution import Cursor, involution_numbers, involution_terms
 
 
 def partial_sums(one=1):
@@ -83,14 +83,7 @@ def F_sum(alpha: int, beta: int, k: int) -> int:
         raise ValueError("requires k >= 1")
     if beta < 0:
         raise ValueError("requires beta >= 0")
-    total = 0
-    for j in range(2 * k):
-        total += (
-            (2 * j + alpha) ** beta
-            * double_factorial_odd(j)
-            * binomial(4 * k - 1, 2 * j)
-        )
-    return total
+    return sum((2 * j + alpha) ** beta * t for j, t in enumerate(involution_terms(4 * k - 1)))
 
 
 def b_k(k: int) -> Fraction:
@@ -100,9 +93,5 @@ def b_k(k: int) -> Fraction:
     """
     if k < 1:
         raise ValueError("requires k >= 1")
-    total = Fraction(0)
-    for j in range(2 * k):
-        total += Fraction(
-            double_factorial_odd(j) * binomial(4 * k - 1, 2 * j), 2 * j + 1
-        )
-    return total
+    return sum((Fraction(t, 2 * j + 1) for j, t in enumerate(involution_terms(4 * k - 1))),
+               Fraction(0))

@@ -14,10 +14,10 @@ from involutions.cli import SUITES
 # seconds each suite may take; a suite cannot be registered without one
 TIME_LIMITS = {
     "tables": 1,
-    "involution-forms": 5,
+    "involution-forms": 1,
     "partial-sum-forms": 1,
     "oracle": 15,
-    "toeplitz": 15,
+    "toeplitz": 1,
     "nu2-involution": 1,
     "nu2-partial-sum": 1,
     "periodicity": 10,
@@ -27,9 +27,9 @@ TIME_LIMITS = {
     "egf": 10,
     "congruence": 5,
     "asymptotic": 60,
-    "hermite": 5,
+    "hermite": 1,
     "cauchy": 10,
-    "cycle-index": 10,
+    "cycle-index": 1,
     "nu3-pattern": 10,
 }
 

@@ -324,6 +324,40 @@ def test_verify_runs_every_suite_at_its_default_bound(capsys, monkeypatch):
     assert called == sorted(REGISTRY.items())
 
 
+def test_verify_json_has_a_record_per_suite(capsys, monkeypatch):
+    for name, (_, bound) in SUITES.items():
+        monkeypatch.setitem(SUITES, name, (lambda max_n: None, bound))
+    assert run(["verify", "--format", "json"]) == EXIT_OK
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert doc["schema"] == "involutions/verify/1"
+    assert [(r["suite"], r["max"]) for r in doc["suites"]] == sorted(REGISTRY.items())
+    for record in doc["suites"]:
+        assert set(record) == {"suite", "max", "outcome", "counterexample",
+                               "elapsed_s", "peak_rss_mb"}
+        assert record["outcome"] == "ok" and record["counterexample"] is None
+        assert record["elapsed_s"] >= 0 and record["peak_rss_mb"] > 0
+    assert captured.err.splitlines() == [
+        f"running {name} (max={REGISTRY[name]})" for name in sorted(REGISTRY)
+    ]
+
+
+def test_verify_json_stops_at_the_first_failure(capsys, monkeypatch):
+    for name, (_, bound) in SUITES.items():
+        check = (lambda max_n: f"broken at n={max_n}") if name == "egf" else (lambda max_n: None)
+        monkeypatch.setitem(SUITES, name, (check, bound))
+    assert run(["verify", "--format", "json"]) == EXIT_VERIFY
+    records = json.loads(capsys.readouterr().out)["suites"]
+    assert [r["suite"] for r in records] == sorted(REGISTRY)[:sorted(REGISTRY).index("egf") + 1]
+    assert [r["outcome"] for r in records] == ["ok"] * (len(records) - 1) + ["fail"]
+    assert records[-1]["counterexample"] == "broken at n=30"
+
+
+def test_verify_toeplitz_at_its_bound(capsys):
+    assert run(["verify", "--suite", "toeplitz", "--max", "12"]) == EXIT_OK
+    assert out_lines(capsys) == ["toeplitz: ok"]
+
+
 @pytest.mark.parametrize("argv", [
     ["--suite", "tables", "--max", "11"],
     ["--suite", "efficiency", "--max", "541"],
@@ -332,7 +366,7 @@ def test_verify_runs_every_suite_at_its_default_bound(capsys, monkeypatch):
     ["--suite", "egf", "--max", "30"],
     ["--suite", "oracle", "--max", "9"],
     ["--suite", "cycle-index", "--max", "21"],
-    ["--suite", "toeplitz", "--max", "9"],
+    ["--suite", "toeplitz", "--max", "13"],
     ["--suite", "cauchy", "--max", "-1"],
     ["--suite", "asymptotic", "--max", "3"],
     ["--max", "5"],
@@ -425,9 +459,10 @@ def test_unhonoured_format_is_rejected(argv, capsys):
     ["valuation", "--nu2-partial-sum", "7", "--format", "json"],
     ["sums", "--cauchy", "3", "--format", "json"],
     ["valuation", "--tree", "--prime", "5", "--depth", "2", "--format", "plain"],
+    ["verify", "--list", "--format", "json"],
 ], ids=["restricted-count-json", "valuation-nu2-involution-json",
         "valuation-nu2-partial-sum-json", "sums-cauchy-json",
-        "valuation-tree-plain"])
+        "valuation-tree-plain", "verify-list-json"])
 def test_format_the_action_cannot_print_is_rejected(argv, capsys):
     assert run(argv) == EXIT_USAGE
     captured = capsys.readouterr()
@@ -440,6 +475,7 @@ def test_format_the_action_cannot_print_is_rejected(argv, capsys):
     ["valuation", "--nu2-involution", "7"],
     ["sums", "--cauchy", "3"],
     ["valuation", "--tree", "--prime", "5", "--depth", "2"],
+    ["verify", "--suite", "tables"],
 ], ids=lambda argv: "-".join(argv[:2]))
 def test_format_the_action_prints_is_accepted(argv, capsys):
     assert run(argv) == EXIT_OK

@@ -1,13 +1,15 @@
 import json
 import random
-from itertools import permutations
+from itertools import islice, permutations
 from math import factorial, prod
 
 import pytest
 
 from involutions.cyclecount import (
     CycleIndexPoly,
+    _poly_mul,
     cycle_index_poly,
+    cycle_index_polys,
     restricted_count,
     statistic_lookup,
     toeplitz_determinant,
@@ -15,7 +17,7 @@ from involutions.cyclecount import (
 )
 from involutions.exactnum import partitions
 from involutions.involution import involution_number, involution_poly
-from involutions.oracle import cycle_type_count
+from involutions.oracle import census_cycle_index_terms, cycle_type_count, enumerate_census
 
 EXAMPLE_5_4 = CycleIndexPoly(4, {
     (5, 0, 0, 0): 1,
@@ -114,7 +116,62 @@ def test_gaussian_form_matches_cycle_index():
 
 def test_toeplitz_bound():
     with pytest.raises(ValueError):
-        toeplitz_determinant(9, 3)
+        toeplitz_determinant(13, 3)
+
+
+def _det_cofactor_unmemoized(matrix, l):
+    """The expansion before minors were memoized: each one expanded anew."""
+    if not matrix:
+        return {(0,) * l: 1}
+    total = {}
+    for col, entry in enumerate(matrix[0]):
+        if not entry:
+            continue
+        minor = [row[:col] + row[col + 1 :] for row in matrix[1:]]
+        sign = -1 if col % 2 else 1
+        for exps, coeff in _poly_mul(entry, _det_cofactor_unmemoized(minor, l)).items():
+            total[exps] = total.get(exps, 0) + sign * coeff
+    return {exps: coeff for exps, coeff in total.items() if coeff}
+
+
+def test_memoized_expansion_equals_the_unmemoized_one():
+    for n in range(9):
+        for l in range(1, max(n, 1) + 1):
+            expected = CycleIndexPoly(l, _det_cofactor_unmemoized(toeplitz_matrix(n, l), l))
+            assert toeplitz_determinant(n, l) == expected, (n, l)
+
+
+def _cycle_index_by_n(n, l):
+    """g(n) rebuilt from g(0), as cycle_index_poly did before the generator."""
+    polys = [CycleIndexPoly(l, {(0,) * l: 1})]
+    for m in range(1, n + 1):
+        terms = {}
+        falling = 1
+        for j in range(1, min(l, m) + 1):
+            for exps, coeff in polys[m - j].terms.items():
+                bumped = list(exps)
+                bumped[j - 1] += 1
+                terms[tuple(bumped)] = terms.get(tuple(bumped), 0) + falling * coeff
+            falling *= m - j
+        polys.append(CycleIndexPoly(l, terms))
+    return polys[n]
+
+
+def test_cycle_index_polys_equal_the_per_n_loop_and_the_census():
+    for l in range(1, 7):
+        polys = list(islice(cycle_index_polys(l), 21))
+        assert polys == [_cycle_index_by_n(n, l) for n in range(21)], l
+        for n in range(9):
+            census = census_cycle_index_terms(enumerate_census(n), l)
+            assert polys[n] == CycleIndexPoly(l, census), (n, l)
+            assert cycle_index_poly(n, l) == polys[n]
+
+
+def test_cycle_index_entry_points_raise_when_called():
+    with pytest.raises(ValueError):
+        cycle_index_polys(0)
+    with pytest.raises(ValueError):
+        cycle_index_poly(-1, 2)
 
 
 def test_statistic_lookup_examples():

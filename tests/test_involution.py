@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from involutions.cli import _EXACT
-from involutions.exactnum import nu_int
+from involutions.exactnum import binomial, factorial, nu_int
 from involutions.involution import (
     Cursor,
     UniPoly,
@@ -120,6 +120,28 @@ def test_involution_number_by_sum_examples():
 def test_forms_agree_to_500():
     for n in range(501):
         assert involution_number_by_sum(n) == involution_number(n)
+
+
+def test_carried_forms_equal_the_binomial_formulas():
+    # the binomial and factorial forms each term was evaluated by before
+    # the terms were carried by their ratios
+    for n in range(301):
+        js = range(n // 2 + 1)
+        assert involution_number_by_sum(n) == sum(
+            binomial(n, 2 * j) * binomial(2 * j, j) * factorial(j) // 2**j for j in js)
+        coeffs = [0] * (n + 1)
+        for j in js:
+            coeffs[n - 2 * j] = binomial(n, 2 * j) * double_factorial_odd(j)
+        assert involution_poly(n) == UniPoly(coeffs)
+        for j in js:
+            coeffs[n - 2 * j] *= (-1) ** j
+        assert hermite_poly(n) == UniPoly(coeffs)
+    values = list(islice(involution_numbers(), 61))
+    for a in range(61):
+        for b in range(61 - a):
+            assert involution_number_bisplit(a, b) == sum(
+                factorial(k) * binomial(a, k) * binomial(b, k) * values[a - k] * values[b - k]
+                for k in range(min(a, b) + 1)), (a, b)
 
 
 def test_double_factorial_odd_examples():

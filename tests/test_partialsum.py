@@ -5,7 +5,8 @@ from itertools import islice
 import pytest
 
 from involutions.cli import _EXACT
-from involutions.involution import involution_number
+from involutions.exactnum import binomial
+from involutions.involution import double_factorial_odd, involution_number
 from involutions.partialsum import (
     F_sum,
     b_k,
@@ -95,3 +96,18 @@ def test_preconditions():
         F_sum(1, 0, 0)
     with pytest.raises(ValueError):
         b_k(0)
+
+
+def test_carried_sums_equal_the_binomial_formulas():
+    # the f-sum suite's range, against the binomial and double-factorial
+    # form each term was evaluated by before the terms were carried
+    def term(k, j):
+        return double_factorial_odd(j) * binomial(4 * k - 1, 2 * j)
+
+    for k in range(1, 13):
+        for alpha in (1, 3, 5, 7, 9):
+            for beta in range(1, 7):
+                assert F_sum(alpha, beta, k) == sum(
+                    (2 * j + alpha) ** beta * term(k, j) for j in range(2 * k))
+    for k in range(1, 26):
+        assert b_k(k) == sum(Fraction(term(k, j), 2 * j + 1) for j in range(2 * k))
