@@ -18,8 +18,6 @@ from .cyclecount import restricted_count
 from .exactnum import factorial
 
 DEFAULT_DPS = 40
-NEWTON_STEPS = 100  # Newton needs at most a dozen steps for l <= 200
-PHI_TOL = 1e-20
 
 
 def _precision(n: int) -> int:
@@ -40,32 +38,29 @@ class SaddleSolution:
     residual: mpmath.mpf
 
 
-def _saddle_value(r, l: int):
-    return sum(r**j for j in range(1, l + 1))
-
-
-def solve_saddle(n: int, l: int, tol: float = 1e-12) -> SaddleSolution:
+def solve_saddle(n: int, l: int) -> SaddleSolution:
     """Unique positive root of r + r^2 + ... + r^l = n.
 
-    Newton iteration from n^(1/l) with analytic derivative.  The left side
-    minus n is increasing and convex for r > 0 and nonnegative at the start,
-    so the iterates fall monotonically onto the root.  `tol` bounds the
-    absolute residual; the working precision carries 20 digits past those
-    of n, so it stays reachable as n grows.
+    Newton iteration from n^(1/l), the value and the slope from one Horner
+    pass.  The left side minus n is increasing and convex for r > 0 and
+    nonnegative at the start, so the iterates fall onto the root; the first
+    step that does not fall leaves r at the root to the working precision,
+    20 digits past those of n.  The iterates fall through finitely many
+    numbers of that precision, and a step rounded below the root makes the
+    next one rise, so the loop ends.
     """
-    if n < 1 or l < 1 or tol <= 0:
-        raise ValueError("requires n >= 1, l >= 1, tol > 0")
+    if n < 1 or l < 1:
+        raise ValueError("requires n >= 1 and l >= 1")
     with mp.workdps(_precision(n)):
         target = mpf(n)
+        coeffs = [1] * l + [0]
         r = target ** (mpf(1) / l)
-        for _ in range(NEWTON_STEPS):
-            residual = _saddle_value(r, l) - target
-            if abs(residual) < tol:
-                return SaddleSolution(n, l, r, residual)
-            r -= residual / sum(j * r ** (j - 1) for j in range(1, l + 1))
-    raise ArithmeticError(
-        f"saddle solver failed to reach tolerance {tol} at (n={n}, l={l})"
-    )
+        while True:
+            value, slope = mpmath.polyval(coeffs, r, derivative=True)
+            step = r - (value - target) / slope
+            if not step < r:
+                return SaddleSolution(n, l, r, value - target)
+            r = step
 
 
 def log_factorial(n: int) -> mpmath.mpf:
@@ -90,12 +85,12 @@ class SaddleEstimate:
         return mpmath.exp(self.log_value)
 
 
-def estimate_saddle(n: int, l: int, tol: float = 1e-12) -> SaddleEstimate:
+def estimate_saddle(n: int, l: int) -> SaddleEstimate:
     """First-order saddle-point estimate, assembled entirely in log-space:
 
     ln n! - ln sqrt(2 pi l n) + sum_j r^j / j - n ln r   at r = r_plus.
     """
-    sol = solve_saddle(n, l, tol)
+    sol = solve_saddle(n, l)
     with mp.workdps(_precision(n)):
         r = sol.r_plus
         log_value = (
@@ -218,7 +213,7 @@ def estimate_closed_form(n: int, l: int, beta_source: str = "extracted") -> Clos
 
 def phi_at(n: int, l: int) -> mpmath.mpf:
     """Phi(eta) = sum_j r^j / j - n ln(r / eta) at the saddle, eta = n^(1/l)."""
-    sol = solve_saddle(n, l, PHI_TOL)
+    sol = solve_saddle(n, l)
     with mp.workdps(_precision(n)):
         r = sol.r_plus
         eta = mpf(n) ** (mpf(1) / l)

@@ -102,7 +102,7 @@ def _sweep(args) -> None:
     print("n,l,exact,estimate,ratio,log_error")
     for n in args.sweep:
         print(f"... n={n}", file=sys.stderr)
-        est = asymptotic.estimate_saddle(n, args.l, args.tol)
+        est = asymptotic.estimate_saddle(n, args.l)
         log_exact = asymptotic.log_exact_count(n, args.l)
         cells = (mpmath.exp(log_exact), est.value, mpmath.exp(est.log_value - log_exact),
                  log_exact - est.log_value)
@@ -141,13 +141,17 @@ def _suite_involution_forms(max_n: int):
 
 
 def _suite_partial_sum_forms(max_n: int):
-    running = 0
+    # the running sums of I(n) against the paper's recurrence
+    # a(n) = 2a(n-1) + (n-2)a(n-2) - (n-1)a(n-3), a(0) = 1, a(-2) = a(-1) = 0,
+    # which fixes them by induction, and against the binomial form
+    x, y, z = 0, 0, 0  # a(n-3), a(n-2), a(n-1)
     for n in range(max_n + 1):
-        running += involution.involution_number(n)
-        if partialsum.partial_sum(n) != running:
+        value = partialsum.partial_sum(n)
+        if value != (2 * z + (n - 2) * y - (n - 1) * x if n else 1):
             return f"recurrence vs running sum at n={n}"
-        if partialsum.partial_sum_by_binomial(n) != running:
+        if partialsum.partial_sum_by_binomial(n) != value:
             return f"binomial form disagrees at n={n}"
+        x, y, z = y, z, value
     return None
 
 
@@ -293,7 +297,7 @@ def _suite_egf(max_n: int):
 
 def _suite_asymptotic(max_n: int):
     for (n, l) in ((100, 2), (1000, 2), (200, 3)):
-        sol = asymptotic.solve_saddle(n, l, 1e-10)
+        sol = asymptotic.solve_saddle(n, l)
         if abs(sol.residual) >= 1e-10:
             return f"saddle residual too large at (n={n}, l={l})"
     err100 = abs(asymptotic.log_exact_count(100, 2) - asymptotic.estimate_saddle(100, 2).log_value)
@@ -404,7 +408,7 @@ class Action(NamedTuple):
 SEQUENCE_FORMATS = ("plain", "json", "csv", "bfile")
 N_AND_L = {"n": REQUIRED, "l": REQUIRED}
 PRIME_AND_DEPTH = {"prime": 5, "depth": 3}
-ASYM_OPTIONS = {"n": REQUIRED, "l": 2, "tol": 1e-12}
+ASYM_OPTIONS = {"n": REQUIRED, "l": 2}
 
 # COMMANDS[command] maps the dest of each action flag to its action; the
 # key None is the action that runs when no action flag is given
@@ -445,13 +449,13 @@ COMMANDS = {
     },
     "asym": {
         None: Action(
-            lambda a: print(mpmath.nstr(asymptotic.estimate_saddle(a.n, a.l, a.tol).value, 12)),
+            lambda a: print(mpmath.nstr(asymptotic.estimate_saddle(a.n, a.l).value, 12)),
             ASYM_OPTIONS),
         "saddle": Action(
-            lambda a: print(mpmath.nstr(asymptotic.solve_saddle(a.n, a.l, a.tol).r_plus, 17)),
+            lambda a: print(mpmath.nstr(asymptotic.solve_saddle(a.n, a.l).r_plus, 17)),
             ASYM_OPTIONS),
         "beta": Action(_beta, {"l": 2}),
-        "sweep": Action(_sweep, {"l": 2, "tol": 1e-12}),
+        "sweep": Action(_sweep, {"l": 2}),
     },
     "oracle": {None: Action(_oracle, {"n": REQUIRED, "formula": False})},
     "verify": {
@@ -553,7 +557,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="exponent coefficient beta_K (printed and extracted)")
     action.add_argument("--sweep", type=int, nargs="+", metavar="N",
                         help="CSV of exact vs estimate over the given n values")
-    p.add_argument("--tol", type=float)
 
     p = command("oracle", help="brute-force cycle-type census")
     p.add_argument("--n", type=int)

@@ -64,9 +64,6 @@ class CycleIndexPoly:
             return NotImplemented
         return self.terms == other.terms
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def to_json(self) -> str:
         doc = {
             "schema": "involutions/cycle-index/1",

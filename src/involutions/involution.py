@@ -42,27 +42,15 @@ class UniPoly:
             return NotImplemented
         return self.coeffs == other.coeffs
 
-    def __hash__(self):
-        return hash(tuple(self.coeffs))
-
     def __add__(self, other: "UniPoly") -> "UniPoly":
         n = max(len(self.coeffs), len(other.coeffs))
         return UniPoly(
             [self.coefficient(k) + other.coefficient(k) for k in range(n)]
         )
 
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return UniPoly([other * c for c in self.coeffs])
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1 or 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return UniPoly(out)
-
-    __rmul__ = __mul__
+    def __rmul__(self, k: int) -> "UniPoly":
+        """k * poly for an integer k."""
+        return UniPoly([k * c for c in self.coeffs])
 
     def shift(self, k: int) -> "UniPoly":
         """Multiply by t**k."""

@@ -3,29 +3,25 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import count, islice
+from itertools import accumulate
 
 from .exactnum import binomial
 from .involution import Cursor, involution_numbers, involution_terms
 
 
 def partial_sums(one=1):
-    """Yield a(0), a(1), ...: a(n) = 2a(n-1) + (n-2)a(n-2) - (n-1)a(n-3).
+    """Yield a(0), a(1), ...: the running sums of I(0), I(1), ...
 
-    Only the last three terms are kept; a(-2) = a(-1) = 0 start the window.
     The terms lie in the ring of `one`, as in involution_numbers.
     """
-    x, y, z = 0, 0, one
-    for m in count(1):
-        yield z
-        x, y, z = y, z, 2 * z + (m - 2) * y - (m - 1) * x
+    return accumulate(involution_numbers(one=one))
 
 
 _CURSOR = Cursor("partial sum", partial_sums)
 
 
 def partial_sum(n: int) -> int:
-    """a(n) = I(0) + I(1) + ... + I(n), via the three-term recurrence."""
+    """a(n) = I(0) + I(1) + ... + I(n)."""
     return _CURSOR.read(n)
 
 
@@ -42,11 +38,6 @@ def partial_sum_by_binomial(n: int) -> int:
         odd *= 2 * k + 1
         c = c * (n - 2 * k) * (n - 2 * k - 1) // ((2 * k + 2) * (2 * k + 3))
     return total
-
-
-def partial_sum_running(n: int) -> int:
-    """Direct running sum of involution numbers, as an independent check."""
-    return sum(islice(involution_numbers(), n + 1))
 
 
 def cauchy_alternating_sum(n: int) -> int:

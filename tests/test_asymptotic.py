@@ -4,6 +4,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from involutions import asymptotic
 from involutions.asymptotic import (
     DEFAULT_DPS,
     _precision,
@@ -53,6 +54,23 @@ def test_solve_saddle_residual_bound():
             assert abs(sol.r_plus / mpmath.mpf(n) ** (mpmath.mpf(1) / l) - 1) < 1e-6
 
 
+@pytest.mark.parametrize("l", [1, 2, 3, 4, 5, 7, 30, 200])
+def test_solve_saddle_root_holds_at_twice_the_precision(l, monkeypatch):
+    ns = (1, 2, 10, 12, 601, 10**6, 10**29, 10**40, 10**5000)
+    roots = [solve_saddle(n, l).r_plus for n in ns]
+    monkeypatch.setattr(asymptotic, "_precision", lambda n: 2 * _precision(n))
+    for n, root in zip(ns, roots):
+        bound = mpmath.mpf(10) ** (1 - _precision(n))
+        with mpmath.mp.workdps(2 * _precision(n)):
+            assert abs(root / solve_saddle(n, l).r_plus - 1) < bound
+            # r + ... + r^l - n is increasing, so its signs at root * (1 -+ bound)
+            # bracket the true root; a rule that stops at a fixed tolerance
+            # stops at the same iterate at both precisions, and fails only here
+            below, above = (mpmath.polyval([1] * l + [0], root * (1 + s * bound)) - n
+                            for s in (-1, 1))
+            assert below < 0 < above
+
+
 def test_precision_counts_the_digits_of_n():
     ns = [1, 9, 10, 99, 100, 10**20 - 1, 10**20, 10**300 - 1, 10**300 + 1,
           10**4299, 10**4300 - 1, 10**4300, 10**5000 + 7]
@@ -69,7 +87,7 @@ def test_solve_saddle_preconditions():
     with pytest.raises(ValueError):
         solve_saddle(0, 2)
     with pytest.raises(ValueError):
-        solve_saddle(10, 2, tol=0)
+        solve_saddle(10, 0)
 
 
 def test_log_factorial_exact_summation():

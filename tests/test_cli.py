@@ -236,6 +236,21 @@ def test_asym_saddle(capsys):
     assert abs(float(out_lines(capsys)[0]) - 3.0) < 1e-10
 
 
+@pytest.mark.parametrize("n, root", [
+    (2, "1.0"),
+    (1, "0.61803398874989485"),  # (sqrt(5) - 1)/2 = 0.6180339887498948482...
+    (601, "24.020399670478457"),
+])
+def test_asym_saddle_prints_the_rounded_root(n, root, capsys):
+    assert run(["asym", "--saddle", "--n", str(n), "--l", "2"]) == EXIT_OK
+    assert out_lines(capsys) == [root]
+
+
+def test_asym_has_no_tolerance_option(capsys):
+    assert run(["asym", "--n", "100", "--tol", "1e-3"]) == EXIT_USAGE
+    assert capsys.readouterr().out == ""
+
+
 def test_asym_saddle_at_large_n(capsys):
     assert run(["asym", "--saddle", "--n", str(10**40), "--l", "2"]) == EXIT_OK
     assert out_lines(capsys) == ["1.0e+20"]
@@ -492,7 +507,7 @@ def test_format_the_action_prints_is_accepted(argv, capsys):
     ["sums", "--n", "3", "--max", "5"],
     ["sums", "--cauchy", "3", "--format", "csv"],
     ["asym", "--n", "100", "--sweep", "10"],
-    ["asym", "--beta", "1", "--tol", "0.5"],
+    ["asym", "--beta", "1", "--n", "5"],
     ["valuation", "--nu2-involution", "7", "--prime", "3"],
     ["valuation", "--tree", "--max", "9", "--depth", "1", "--prime", "3"],
     ["verify", "--list", "--suite", "tables"],
@@ -537,10 +552,10 @@ READS = {
     ("valuation", "--efficiency-scan"): {"--max"},
     ("valuation", "--tree"): {"--prime", "--depth"},
     ("valuation", "--conjecture"): {"--prime", "--depth"},
-    ("asym", None): {"--n", "--l", "--tol"},
-    ("asym", "--saddle"): {"--n", "--l", "--tol"},
+    ("asym", None): {"--n", "--l"},
+    ("asym", "--saddle"): {"--n", "--l"},
     ("asym", "--beta"): {"--l"},
-    ("asym", "--sweep"): {"--l", "--tol"},
+    ("asym", "--sweep"): {"--l"},
     ("oracle", None): {"--n", "--formula"},
     ("verify", None): {"--suite", "--max"},
     ("verify", "--list"): set(),

@@ -1,6 +1,6 @@
 import decimal
 from fractions import Fraction
-from itertools import islice
+from itertools import count, islice
 
 import pytest
 
@@ -13,11 +13,19 @@ from involutions.partialsum import (
     cauchy_alternating_sum,
     partial_sum,
     partial_sum_by_binomial,
-    partial_sum_running,
     partial_sums,
 )
 
 KNOWN_TABLE = [1, 2, 4, 8, 18, 44, 120, 352, 1116, 3736, 13232]
+
+
+def three_term_partial_sums(one=1):
+    """a(n) = 2a(n-1) + (n-2)a(n-2) - (n-1)a(n-3), a(-2) = a(-1) = 0: the
+    paper's recurrence, once the engine, kept here as the reference."""
+    x, y, z = 0, 0, one
+    for m in count(1):
+        yield z
+        x, y, z = y, z, 2 * z + (m - 2) * y - (m - 1) * x
 
 
 def test_partial_sum_examples():
@@ -28,12 +36,15 @@ def test_partial_sum_examples():
 
 
 def test_terms_over_decimal_equal_the_terms_over_int():
-    # the CLI tables run the generator over Decimal in the exact context
+    # the CLI tables run the generator over Decimal in the exact context; the
+    # paper's recurrence is the reference in both rings
     with decimal.localcontext(_EXACT):
-        over_decimal = list(islice(partial_sums(one=decimal.Decimal(1)), 3001))
+        one = decimal.Decimal(1)
+        over_decimal = list(islice(partial_sums(one=one), 3001))
+        reference = list(islice(three_term_partial_sums(one=one), 3001))
     over_int = list(islice(partial_sums(), 3001))
     assert all(isinstance(d, decimal.Decimal) for d in over_decimal)
-    assert over_decimal == over_int
+    assert over_decimal == reference == over_int == list(islice(three_term_partial_sums(), 3001))
 
 
 def test_descending_read_restarts():
@@ -50,8 +61,14 @@ def test_partial_sum_by_binomial_examples():
 
 
 def test_three_way_agreement():
+    # the running sums against the paper's recurrence, which fixes them by
+    # induction from a(0) = 1, a(-2) = a(-1) = 0, and the binomial form
+    x, y, z = 0, 0, 0  # a(n-3), a(n-2), a(n-1)
     for n in range(501):
-        assert partial_sum(n) == partial_sum_by_binomial(n) == partial_sum_running(n)
+        a = partial_sum(n)
+        assert a == (2 * z + (n - 2) * y - (n - 1) * x if n else 1)
+        assert a == partial_sum_by_binomial(n)
+        x, y, z = y, z, a
 
 
 def test_cauchy_alternating_sum_examples():
