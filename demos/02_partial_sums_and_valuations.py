@@ -17,7 +17,7 @@ from involutions import (
 )
 from involutions.exactnum import nu_int
 
-print("n, a(n) by recurrence, by binomial form:")
+print("n, a(n) as the running sum of I(n), by binomial form:")
 for n in range(11):
     print(f"  {n:2d}  {partial_sum(n):6d}  {partial_sum_by_binomial(n):6d}")
 

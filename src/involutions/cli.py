@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import decimal
+import functools
 import json
 import os
 import resource
@@ -572,12 +573,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# run() parses with one parser per process: parse_args keeps no state
+# between calls, and building the parser costs more than most actions
+_parser = functools.cache(build_parser)
+
+
 def run(argv=None) -> int:
     # exact values are read and printed in full, past Python's digit limit
     digit_limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        return _dispatch(build_parser().parse_args(argv))
+        return _dispatch(_parser().parse_args(argv))
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     except (ValueError, ArithmeticError) as exc:

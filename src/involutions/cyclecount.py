@@ -104,13 +104,12 @@ def restricted_count(n: int, l: int) -> int:
         raise ValueError("requires n >= 0 and l >= 1")
     window = deque([1], maxlen=l)  # d(m), d(m-1), ..., d(m-l+1)
     for m in range(n):
-        # d(m+1) = sum_{j=0}^{l-1} m!/(m-j)! d(m-j)
-        total = 0
-        falling = 1
-        for j, value in enumerate(window):
-            total += falling * value
-            falling *= m - j
-        window.appendleft(total)
+        # d(m+1) = sum_{j=0}^{l-1} m!/(m-j)! d(m-j), in Horner form
+        # d(m) + m (d(m-1) + (m-1) (d(m-2) + ...)): big times small only
+        acc = 0
+        for j in range(len(window) - 1, -1, -1):
+            acc = window[j] + (m - j) * acc
+        window.appendleft(acc)
     return window[0]
 
 

@@ -20,7 +20,6 @@ from .exactnum import (
     primes_upto,
 )
 from .involution import involution_numbers
-from .partialsum import partial_sum
 
 
 def nu2_involution(n: int) -> int:
@@ -67,11 +66,14 @@ def involution_mod_sequence(modulus: int, n_max: int) -> list[int]:
 
 
 def is_efficient(p: int) -> bool:
-    """An odd prime is efficient when p never divides I(j) for j < p."""
+    """An odd prime is efficient when p never divides I(j) for j < p.
+
+    Reads I(j) mod p for j = 0, 1, ... and stops at the first zero: an
+    inefficient prime whose least root is j costs j + 1 terms, not p.
+    """
     if p == 2 or not is_prime(p):
         raise ValueError(f"{p} is not an odd prime")
-    residues = involution_mod_sequence(p, p - 1)
-    return all(r != 0 for r in residues)
+    return 0 not in islice(involution_numbers(p), p)
 
 
 def inefficient_primes_upto(bound: int) -> list[int]:
@@ -152,8 +154,11 @@ def build_valuation_tree(p: int, max_level: int) -> ValuationTree:
 
     Each terminal vertex is certified on its first CERTIFY_N members
     c + i p^L from I(n) mod p^max_level, which decides every valuation
-    below max_level, so no exact I(n) is built.  Tree and certification
-    read one residue sweep of length CERTIFY_N * p^max_level.  Budget:
+    below max_level, so no exact I(n) is built.  The residues come from one
+    stream, read only as far as the answer needs: up to p^L before level L
+    is decided, then up to the largest certification member
+    c + (CERTIFY_N - 1) p^L of a terminal vertex.  A tree that ends early
+    (p = 19 ends at level 2) reads no residue past that.  Budget:
     p^max_level <= TREE_BUDGET; anything beyond raises ValueError before
     any work is done.
     """
@@ -166,13 +171,19 @@ def build_valuation_tree(p: int, max_level: int) -> ValuationTree:
         raise ValueError(
             f"p^max_level = {top_mod} exceeds the compute budget {TREE_BUDGET}"
         )
-    residues = involution_mod_sequence(top_mod, CERTIFY_N * top_mod - 1)
+    stream = involution_numbers(top_mod)
+    residues: list[int] = []  # I(0), I(1), ... mod p^max_level, as far as read
+
+    def read_below(n: int) -> None:
+        residues.extend(islice(stream, max(n - len(residues), 0)))
 
     tree = ValuationTree(prime=p, max_level=max_level)
+    terminals = []  # in the order they were found
     frontier = [0]  # non-terminal class representatives of the previous level
     for level in range(1, max_level + 1):
         modulus = p**level
         prev_modulus = p ** (level - 1)
+        read_below(modulus)
         vertices = []
         next_frontier = []
         for base in frontier:
@@ -182,7 +193,7 @@ def build_valuation_tree(p: int, max_level: int) -> ValuationTree:
                 if value_mod != 0:
                     vertex = TreeVertex(level, c, terminal=True,
                                         valuation=nu_int(value_mod, p))
-                    _certify_terminal(vertex, p, residues)
+                    terminals.append(vertex)
                 else:
                     vertex = TreeVertex(level, c, terminal=False, lower_bound=level)
                     next_frontier.append(c)
@@ -192,6 +203,10 @@ def build_valuation_tree(p: int, max_level: int) -> ValuationTree:
         frontier = next_frontier
         if not frontier:
             break
+    read_below(max((v.residue + (CERTIFY_N - 1) * p**v.level + 1
+                    for v in terminals), default=0))
+    for vertex in terminals:
+        _certify_terminal(vertex, p, residues)
     return tree
 
 
@@ -305,10 +320,27 @@ def nu3_partial_sum(n: int) -> int:
 
 
 def nu3_partial_sum_pattern_check(n_max: int) -> bool:
-    """Exact sweep of nu_3(a(n)) against the observed closed form above."""
+    """Sweep of nu_3(a(n)) for n <= n_max against the observed closed form.
+
+    a(n) is read mod 3^K as the running sum of I(n) mod 3^K, with 3^K the
+    least power of 3 above 9 (n_max // 9 + 1).  Each value v the closed
+    form predicts up to n_max is at most 2 + nu_3(m + 1) with
+    m + 1 <= n_max // 9 + 1, so 3^v <= 9 (m + 1) < 3^K and v < K.  A
+    residue of zero means nu_3(a(n)) >= K, already a mismatch; a nonzero
+    residue has the valuation of a(n) itself.  So the check is exact, and
+    no a(n) is built in full.
+    """
     if n_max < 9:
         raise ValueError("requires n_max >= 9")
-    return all(nu_int(partial_sum(n), 3) == nu3_partial_sum(n) for n in range(n_max + 1))
+    modulus = 3
+    while modulus <= 9 * (n_max // 9 + 1):
+        modulus *= 3
+    total = 0
+    for n, term in enumerate(islice(involution_numbers(modulus), n_max + 1)):
+        total = (total + term) % modulus
+        if total == 0 or nu_int(total, 3) != nu3_partial_sum(n):
+            return False
+    return True
 
 
 def multinomial_congruence_check(p: int, n: int, lam) -> bool:

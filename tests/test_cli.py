@@ -610,3 +610,27 @@ def test_closed_pipe_ends_without_a_traceback():
     proc.stdout.close()
     _, err = proc.communicate(timeout=60)
     assert err == b"" and proc.returncode == 1
+
+
+@pytest.mark.parametrize("error, valid", [
+    (["invol", "--n", "3", "--table"], ["invol", "--table", "--max", "4"]),
+    (["valuation", "--prime", "5"], ["valuation", "--tree", "--prime", "5", "--depth", "2"]),
+    (["restricted", "--n", "5", "--l", "2", "--cycle-index", "--determinant"],
+     ["restricted", "--n", "5", "--l", "2", "--determinant"]),
+    (["sums", "--n", "4", "--max", "3"], ["sums", "--n", "4"]),
+], ids=["two-actions", "no-action", "two-flags", "unread-option"])
+def test_run_after_a_usage_error_prints_what_a_fresh_process_prints(error, valid, capsys,
+                                                                    monkeypatch):
+    # run() reuses one parser, so an error must leave nothing behind in it
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage lines to it
+    env = dict(_child_env(), COLUMNS="80")
+    fresh = {}
+    for argv in (error, valid):
+        proc = subprocess.run([sys.executable, "-m", "involutions.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+        fresh[tuple(argv)] = (proc.returncode, proc.stdout, proc.stderr)
+    assert fresh[tuple(error)][0] == EXIT_USAGE and fresh[tuple(valid)][0] == EXIT_OK
+    for argv in (error, valid, error, valid):
+        code = run(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == fresh[tuple(argv)]

@@ -12,6 +12,7 @@ from involutions.exactnum import nu_int, primes_upto
 from involutions.involution import involution_number
 from involutions.partialsum import partial_sum
 from involutions.valuation import (
+    TreeVertex,
     build_valuation_tree,
     conjecture_check,
     inefficient_primes_upto,
@@ -147,16 +148,63 @@ def test_tree_terminal_certification():
 def test_tree_certification_catches_a_corrupt_member(monkeypatch, perturb):
     # corrupt I(n) mod p^L at the second member of the class of 1 mod 5,
     # which the tree itself never reads: only certification can see it
-    sweep = involution_mod_sequence
+    stream = valuation.involution_numbers
 
-    def corrupt(modulus, n_max):
-        residues = sweep(modulus, n_max)
-        residues[1 + 5] = perturb(residues[1 + 5], modulus)
-        return residues
+    def corrupt(modulus=0, one=1):
+        for n, r in enumerate(stream(modulus, one)):
+            yield perturb(r, modulus) if n == 1 + 5 else r
 
-    monkeypatch.setattr(valuation, "involution_mod_sequence", corrupt)
+    monkeypatch.setattr(valuation, "involution_numbers", corrupt)
     with pytest.raises(AssertionError, match="n=6"):
         build_valuation_tree(5, 3)
+
+
+def _reference_tree(p, depth):
+    """The tree's levels, from one sweep of I(n) mod p^depth for n < p^depth."""
+    residues = involution_mod_sequence(p**depth, p**depth - 1)
+    levels, frontier = [], [0]
+    for level in range(1, depth + 1):
+        vertices = []
+        for c in sorted(base + k * p ** (level - 1) for base in frontier for k in range(p)):
+            value = residues[c] % p**level
+            if value:
+                vertices.append(TreeVertex(level, c, terminal=True, valuation=nu_int(value, p)))
+            else:
+                vertices.append(TreeVertex(level, c, terminal=False, lower_bound=level))
+        levels.append(vertices)
+        frontier = [v.residue for v in vertices if not v.terminal]
+        if not frontier:
+            break
+    return levels
+
+
+# 53 trees: p = 5 to depth 8, and every other inefficient p < 100 to depth 3
+TREE_CASES = [(5, depth) for depth in range(1, 9)] + [
+    (p, depth) for p in inefficient_primes_upto(100) if p != 5 for depth in (1, 2, 3)
+]
+
+
+@pytest.mark.parametrize("p, depth", TREE_CASES)
+def test_tree_equals_the_tree_of_a_full_sweep(p, depth):
+    tree = build_valuation_tree(p, depth)
+    assert tree.levels == _reference_tree(p, depth)
+
+
+def test_tree_that_ends_early_reads_no_further(monkeypatch):
+    # p = 19 ends at level 2: its residues are read to the last certification
+    # member of level 2, below 3 * 19^2, never towards 19^4
+    stream = valuation.involution_numbers
+    steps = []
+
+    def counted(modulus=0, one=1):
+        for r in stream(modulus, one):
+            steps.append(r)
+            yield r
+
+    monkeypatch.setattr(valuation, "involution_numbers", counted)
+    tree = build_valuation_tree(19, 4)
+    assert len(tree.levels) == 2
+    assert len(steps) <= 3 * 19**2
 
 
 @pytest.mark.parametrize("modulus", [5**6, 13**3, 3**40, 2**61 - 1])
@@ -242,6 +290,44 @@ def test_nu3_pattern_examples():
     assert nu3_partial_sum_pattern_check(1000)
     # the observed indexing: a(8) = 1116 = 2^2 * 3^2 * 31 has valuation 2
     assert nu3_partial_sum(8) == 2 == nu_int(partial_sum(8), 3)
+
+
+def test_nu3_check_reads_exact_valuations_from_residues(monkeypatch):
+    # with the exact valuation in place of the closed form, every sweep up
+    # to n_max passes only if each residue mod 3^K gives nu_3(a(n)) exactly
+    exact = [nu_int(partial_sum(n), 3) for n in range(1001)]
+    monkeypatch.setattr(valuation, "nu3_partial_sum", exact.__getitem__)
+    assert all(nu3_partial_sum_pattern_check(n_max) for n_max in range(9, 1001))
+
+
+@pytest.mark.parametrize("delta", [1, -1])
+def test_nu3_check_catches_a_planted_mismatch(monkeypatch, delta):
+    # 242 = 9 * 26 + 8 with 26 == 2 mod 3, so nu_3(a(242)) = 2 + nu_3(27) = 5
+    assert nu3_partial_sum(242) == 5 == nu_int(partial_sum(242), 3)
+    planted = {242: 5 + delta}
+    monkeypatch.setattr(valuation, "nu3_partial_sum",
+                        lambda n: planted.get(n, nu3_partial_sum(n)))
+    assert not nu3_partial_sum_pattern_check(242)
+    assert not nu3_partial_sum_pattern_check(1000)
+    assert nu3_partial_sum_pattern_check(241)
+
+
+def test_nu3_check_reads_a_zero_residue_as_a_mismatch(monkeypatch):
+    # a(n) == 0 mod 3^K means nu_3(a(n)) >= K, above every predicted value
+    stream = valuation.involution_numbers
+
+    def vanishing(modulus=0, one=1):
+        # the terms whose running sums are a(n) mod 3^K, but 0 at n = 100
+        total = previous = 0
+        for n, r in enumerate(stream(modulus, one)):
+            total += r
+            planted = 0 if n == 100 else total
+            yield (planted - previous) % modulus
+            previous = planted
+
+    monkeypatch.setattr(valuation, "involution_numbers", vanishing)
+    assert nu3_partial_sum_pattern_check(99)
+    assert not nu3_partial_sum_pattern_check(1000)
 
 
 def test_nu3_observed_pattern_values():
