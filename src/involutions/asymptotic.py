@@ -16,6 +16,7 @@ from mpmath import mp, mpf
 
 from .cyclecount import restricted_count
 from .exactnum import factorial
+from .series import TruncatedEGF, series_mul
 
 DEFAULT_DPS = 40
 
@@ -129,13 +130,7 @@ def eta_power_laurent(l: int, k: int, order: int) -> list[Fraction]:
         a[l * m] = _binomial_fraction(e, m) * (-1) ** m
     # (1 - x)^(-e) = sum C(e+m-1, m) x^m
     b = [_binomial_fraction(e + m - 1, m) for m in range(order + 1)]
-    out = [Fraction(0)] * (order + 1)
-    for i in range(order + 1):
-        if a[i] == 0:
-            continue
-        for j in range(order + 1 - i):
-            out[i + j] += a[i] * b[j]
-    return out
+    return series_mul(TruncatedEGF(a), TruncatedEGF(b)).coeffs
 
 
 def beta_series_extraction(l: int, k: int) -> Fraction:

@@ -302,10 +302,10 @@ def _suite_asymptotic(max_n: int):
         if abs(sol.residual) >= 1e-10:
             return f"saddle residual too large at (n={n}, l={l})"
     err100 = abs(asymptotic.log_exact_count(100, 2) - asymptotic.estimate_saddle(100, 2).log_value)
-    err1000 = abs(asymptotic.log_exact_count(1000, 2) - asymptotic.estimate_saddle(1000, 2).log_value)
-    if not err1000 < err100:
+    diff1000 = asymptotic.estimate_saddle(1000, 2).log_value - asymptotic.log_exact_count(1000, 2)
+    if not abs(diff1000) < err100:
         return "log error not shrinking between n=100 and n=1000"
-    ratio = mpmath.exp(asymptotic.estimate_saddle(1000, 2).log_value - asymptotic.log_exact_count(1000, 2))
+    ratio = mpmath.exp(diff1000)
     if not 0.95 < float(ratio) < 1.05:
         return f"ratio at n=1000 out of range: {float(ratio)}"
     if asymptotic.beta_series_extraction(2, 1) != Fraction(1):

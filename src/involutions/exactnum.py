@@ -72,12 +72,10 @@ def as_partition(parts) -> tuple[int, ...]:
     return parts
 
 
-def partitions(n: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
+def partitions(n: int) -> Iterator[tuple[int, ...]]:
     """Partitions of n in reverse-lexicographic order, largest part first."""
     if n < 0:
         raise ValueError("partitions of negative n")
-    if max_part is None:
-        max_part = n
 
     def gen(remaining: int, cap: int, prefix: tuple[int, ...]):
         if remaining == 0:
@@ -86,7 +84,7 @@ def partitions(n: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]
         for part in range(min(cap, remaining), 0, -1):
             yield from gen(remaining - part, part, prefix + (part,))
 
-    yield from gen(n, max_part, ())
+    yield from gen(n, n, ())
 
 
 def multinomial(n: int, lam) -> int:

@@ -200,17 +200,16 @@ def hermite_poly(n: int) -> UniPoly:
 def hermite_relation_check(n: int) -> bool:
     """Involution and Hermite polynomials agree up to alternating signs.
 
-    The coefficient of t^(n-2j) in the involution polynomial must equal
-    (-1)^j times the one in the Hermite polynomial.  (This is the real form
-    of the i^n H(-it) relation; no complex arithmetic needed.)
+    `hermite_poly(n)` is the involution polynomial with the coefficient of
+    t^(n-2j) times (-1)^j (the real form of the i^n H(-it) relation; no
+    complex arithmetic needed).  It is the Hermite polynomial exactly when
+    it satisfies He's own recurrence He(n) = t He(n-1) - (n-1) He(n-2),
+    He(0) = 1, He(1) = t, which is checked at n.
     """
-    ip = involution_poly(n)
-    hp = hermite_poly(n)
-    for j in range(n // 2 + 1):
-        k = n - 2 * j
-        if ip.coefficient(k) != (-1) ** j * hp.coefficient(k):
-            return False
-    return True
+    if n < 2:
+        return hermite_poly(n) == UniPoly([0] * n + [1])
+    expected = hermite_poly(n - 1).shift(1) + (1 - n) * hermite_poly(n - 2)
+    return hermite_poly(n) == expected
 
 
 def umbral_derivative_coeffs(m: int) -> UniPoly:

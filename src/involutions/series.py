@@ -186,13 +186,12 @@ def partial_sum_transform(w: TruncatedEGF) -> TruncatedEGF:
     return w + series_mul(exp_x(order), inner)
 
 
-def lemma_partial_sums_check(w: TruncatedEGF, order: int | None = None) -> bool:
+def lemma_partial_sums_check(w: TruncatedEGF) -> bool:
     """The transform above turns EGF coefficients into their partial sums."""
-    if order is None:
-        order = w.order
+    order = w.order
     if order < 2:
         raise ValueError("requires order >= 2")
-    g = partial_sum_transform(w.truncate(order))
+    g = partial_sum_transform(w)
     running = Fraction(0)
     for n in range(order + 1):
         running += w.egf_coefficient(n)

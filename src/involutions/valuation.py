@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import accumulate, islice, tee
+from operator import eq
 
 from .exactnum import (
     as_partition,
@@ -59,7 +60,12 @@ def nu2_partial_sum(n: int) -> int:
 
 
 def involution_mod_sequence(modulus: int, n_max: int) -> list[int]:
-    """I(0..n_max) reduced mod `modulus`, via the recurrence on residues."""
+    """I(0..n_max) reduced mod `modulus`, via the recurrence on residues.
+
+    The valuation checks below read `involution_numbers(modulus)` directly
+    and keep only the residues they still need; this full sweep stays as
+    the reference that tests compare them with.
+    """
     if modulus < 1 or n_max < 0:
         raise ValueError("requires modulus >= 1 and n_max >= 0")
     return list(islice(involution_numbers(modulus), n_max + 1))
@@ -90,14 +96,17 @@ def periodicity_check(p: int, r: int, n_max: int) -> bool:
     (I(0) = 1 yet I(2) = 2): by `nu2_involution`, I(n) == 0 mod 2^r for all
     n >= 4r - 2 while I(4r - 3) is not, so the mod-2^r sequence is eventually
     zero and cannot be purely periodic; this function reports that honestly.
+
+    The residue stream is compared with itself p^r terms later, so only the
+    p^r residues between the two readers are held.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if r < 1:
-        raise ValueError("requires r >= 1")
+    if r < 1 or n_max < 0:
+        raise ValueError("requires r >= 1 and n_max >= 0")
     q = p**r
-    vals = involution_mod_sequence(q, n_max + q)
-    return all(vals[n + q] == vals[n] for n in range(n_max + 1))
+    now, later = tee(involution_numbers(q))
+    return all(map(eq, islice(now, n_max + 1), islice(later, q, None)))
 
 
 @dataclass
@@ -126,7 +135,6 @@ class TreeVertex:
 @dataclass
 class ValuationTree:
     prime: int
-    max_level: int
     levels: list[list[TreeVertex]] = field(default_factory=list)
 
     def to_json(self) -> str:
@@ -152,15 +160,15 @@ def build_valuation_tree(p: int, max_level: int) -> ValuationTree:
     valuation nu_p(I(c)) < L.  Otherwise the vertex is non-terminal with
     lower bound L and is split into its p sub-classes at the next level.
 
-    Each terminal vertex is certified on its first CERTIFY_N members
-    c + i p^L from I(n) mod p^max_level, which decides every valuation
-    below max_level, so no exact I(n) is built.  The residues come from one
-    stream, read only as far as the answer needs: up to p^L before level L
-    is decided, then up to the largest certification member
-    c + (CERTIFY_N - 1) p^L of a terminal vertex.  A tree that ends early
-    (p = 19 ends at level 2) reads no residue past that.  Budget:
-    p^max_level <= TREE_BUDGET; anything beyond raises ValueError before
-    any work is done.
+    Each terminal vertex is certified where its level decides it, on its
+    first CERTIFY_N members c + i p^L from I(n) mod p^max_level, which
+    decides every valuation below max_level, so no exact I(n) is built.
+    The residues come from one stream, read only as far as the answer
+    needs: up to p^L before level L is decided, and up to the largest
+    certification member c + (CERTIFY_N - 1) p^L < 3 p^L <= p^(L+1) of a
+    terminal vertex.  A tree that ends early (p = 19 ends at level 2) reads
+    no residue past that.  Budget: p^max_level <= TREE_BUDGET; anything
+    beyond raises ValueError before any work is done.
     """
     if p == 2 or not is_prime(p):
         raise ValueError(f"{p} is not an odd prime")
@@ -177,8 +185,7 @@ def build_valuation_tree(p: int, max_level: int) -> ValuationTree:
     def read_below(n: int) -> None:
         residues.extend(islice(stream, max(n - len(residues), 0)))
 
-    tree = ValuationTree(prime=p, max_level=max_level)
-    terminals = []  # in the order they were found
+    tree = ValuationTree(prime=p)
     frontier = [0]  # non-terminal class representatives of the previous level
     for level in range(1, max_level + 1):
         modulus = p**level
@@ -193,7 +200,8 @@ def build_valuation_tree(p: int, max_level: int) -> ValuationTree:
                 if value_mod != 0:
                     vertex = TreeVertex(level, c, terminal=True,
                                         valuation=nu_int(value_mod, p))
-                    terminals.append(vertex)
+                    read_below(c + (CERTIFY_N - 1) * modulus + 1)
+                    _certify_terminal(vertex, p, residues)
                 else:
                     vertex = TreeVertex(level, c, terminal=False, lower_bound=level)
                     next_frontier.append(c)
@@ -203,10 +211,6 @@ def build_valuation_tree(p: int, max_level: int) -> ValuationTree:
         frontier = next_frontier
         if not frontier:
             break
-    read_below(max((v.residue + (CERTIFY_N - 1) * p**v.level + 1
-                    for v in terminals), default=0))
-    for vertex in terminals:
-        _certify_terminal(vertex, p, residues)
     return tree
 
 
@@ -335,10 +339,10 @@ def nu3_partial_sum_pattern_check(n_max: int) -> bool:
     modulus = 3
     while modulus <= 9 * (n_max // 9 + 1):
         modulus *= 3
-    total = 0
-    for n, term in enumerate(islice(involution_numbers(modulus), n_max + 1)):
-        total = (total + term) % modulus
-        if total == 0 or nu_int(total, 3) != nu3_partial_sum(n):
+    totals = accumulate(islice(involution_numbers(modulus), n_max + 1))
+    for n, total in enumerate(totals):
+        residue = total % modulus
+        if residue == 0 or nu_int(residue, 3) != nu3_partial_sum(n):
             return False
     return True
 

@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from involutions.cli import _EXACT
+from involutions import involution
+from involutions.cli import _EXACT, SUITES
 from involutions.exactnum import binomial, factorial, nu_int
 from involutions.involution import (
     Cursor,
@@ -212,6 +213,20 @@ def test_hermite_recurrence():
     for n in range(2, 60):
         expected = hermite_poly(n - 1).shift(1) + (-(n - 1)) * hermite_poly(n - 2)
         assert hermite_poly(n) == expected
+
+
+def test_hermite_suite_catches_a_corrupt_involution_term(monkeypatch):
+    # both polynomials are read from involution_terms, so a wrong t(2) at
+    # n = 7 changes them alike: only He's own recurrence can see it
+    terms = involution.involution_terms
+
+    def corrupt(n):
+        for j, t in enumerate(terms(n)):
+            yield t + 1 if (n, j) == (7, 2) else t
+
+    monkeypatch.setattr(involution, "involution_terms", corrupt)
+    check, bound = SUITES["hermite"]
+    assert check(bound) == "Hermite relation fails at n=7"
 
 
 def test_umbral_examples():

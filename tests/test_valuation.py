@@ -38,6 +38,15 @@ INEFFICIENT_62 = [
 ]
 
 
+def _child_env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(__file__).resolve().parent.parent / "src"),
+                      env.get("PYTHONPATH")])
+    )
+    return env
+
+
 def test_nu2_involution_examples():
     assert nu2_involution(7) == 3
     assert nu2_involution(0) == 0
@@ -87,6 +96,34 @@ def test_periodicity_examples():
     assert periodicity_check(5, 2, 200)
     # the p=2 claim is false from n=0: I(0)=1 is odd, I(2)=2 is even
     assert not periodicity_check(2, 1, 50)
+
+
+def test_periodicity_rejects_a_negative_bound():
+    with pytest.raises(ValueError, match="n_max >= 0"):
+        periodicity_check(5, 1, -1)
+
+
+def test_periodicity_holds_a_window_of_p_to_the_r_residues():
+    # the stream is compared with itself 7^3 terms later: holding all
+    # 2 * 10^6 + 7^3 + 1 residues first raised the peak by 28 MB.  The check
+    # runs in a grandchild, started by a small interpreter, because on Linux
+    # a process's peak RSS includes its parent's at the fork, and the test
+    # process is large.
+    grandchild = (
+        "import resource\n"
+        "from involutions.valuation import periodicity_check\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "assert periodicity_check(7, 3, 2 * 10**6)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+    )
+    child = (
+        "import subprocess, sys\n"
+        f"sys.exit(subprocess.call([sys.executable, '-c', {grandchild!r}]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", child], env=_child_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 10 * 1024
 
 
 def test_periodicity_is_false_at_p2():
@@ -190,9 +227,8 @@ def test_tree_equals_the_tree_of_a_full_sweep(p, depth):
     assert tree.levels == _reference_tree(p, depth)
 
 
-def test_tree_that_ends_early_reads_no_further(monkeypatch):
-    # p = 19 ends at level 2: its residues are read to the last certification
-    # member of level 2, below 3 * 19^2, never towards 19^4
+def _count_reads(monkeypatch):
+    """The residues the tree reads from its stream, in the order read."""
     stream = valuation.involution_numbers
     steps = []
 
@@ -202,9 +238,28 @@ def test_tree_that_ends_early_reads_no_further(monkeypatch):
             yield r
 
     monkeypatch.setattr(valuation, "involution_numbers", counted)
+    return steps
+
+
+def test_tree_that_ends_early_reads_no_further(monkeypatch):
+    # p = 19 ends at level 2: its residues are read to the last certification
+    # member of level 2, below 3 * 19^2, never towards 19^4
+    steps = _count_reads(monkeypatch)
     tree = build_valuation_tree(19, 4)
     assert len(tree.levels) == 2
     assert len(steps) <= 3 * 19**2
+
+
+@pytest.mark.parametrize("p, depth, reads", [
+    (5, 6, 44725), (5, 8, 1104100), (13, 3, 6571),
+    (19, 4, 1071), (59, 2, 10426), (29, 3, 73059),
+])
+def test_tree_reads_the_residues_that_decide_it(monkeypatch, p, depth, reads):
+    # up to p^L for level L, and to the last certification member of a
+    # terminal vertex: certifying a vertex where it is decided reads no more
+    steps = _count_reads(monkeypatch)
+    build_valuation_tree(p, depth)
+    assert len(steps) == reads
 
 
 @pytest.mark.parametrize("modulus", [5**6, 13**3, 3**40, 2**61 - 1])
@@ -217,15 +272,10 @@ def test_mod_sequence_matches_exact_values(modulus):
 def test_deep_conjecture_check_runs_in_bounded_memory():
     # 5^8 = 390625 is inside the default budget; the certification sweep
     # is 3 * 5^8 residues and no exact I(n) is built
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(Path(__file__).resolve().parent.parent / "src"),
-                      env.get("PYTHONPATH")])
-    )
     proc = subprocess.run(
         [sys.executable, "-m", "involutions.cli", "valuation", "--conjecture",
          "--prime", "5", "--depth", "8", "--format", "json"],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=_child_env(), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
