@@ -496,80 +496,70 @@ def _dispatch(args) -> int:
     return action.run(args) or EXIT_OK
 
 
+# how argparse spells each option, in the order --help lists them
+FLAGS = {
+    "n": {"type": int},
+    "l": {"type": int},
+    "table": {"action": "store_true", "help": "print values 0..max"},
+    "poly": {"action": "store_true", "help": "print the involution polynomial"},
+    "cauchy": {"type": int, "metavar": "N", "help": "alternating Cauchy sum at N"},
+    "b_k": {"type": int, "metavar": "K", "help": "rational b(K)"},
+    "cycle_index": {"action": "store_true"},
+    "determinant": {"action": "store_true", "help": "via the Toeplitz determinant (small n only)"},
+    "nu2_involution": {"type": int, "metavar": "N"},
+    "nu2_partial_sum": {"type": int, "metavar": "N"},
+    "efficiency_scan": {"action": "store_true"},
+    "tree": {"action": "store_true"},
+    "conjecture": {"action": "store_true"},
+    "prime": {"type": int},
+    "depth": {"type": int},
+    "saddle": {"action": "store_true", "help": "print the saddle point"},
+    "beta": {"type": int, "metavar": "K",
+             "help": "exponent coefficient beta_K (printed and extracted)"},
+    "sweep": {"type": int, "nargs": "+", "metavar": "N",
+              "help": "CSV of exact vs estimate over the given n values"},
+    "formula": {"action": "store_true", "help": "use the counting formula instead of enumeration"},
+    "suite": {},
+    "list": {"action": "store_true"},
+    "max": {"type": int},
+}
+
+COMMAND_HELP = {
+    "invol": "involution numbers and polynomials",
+    "sums": "partial sums and Cauchy identities",
+    "restricted": "bounded-cycle permutation counts",
+    "valuation": "p-adic valuations and trees",
+    "asym": "saddle-point estimates",
+    "oracle": "brute-force cycle-type census",
+    "verify": "run a named invariant suite",
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The parser COMMANDS implies, spelt as FLAGS and COMMAND_HELP say."""
     parser = argparse.ArgumentParser(
         prog="involutions",
         description="Exact computations around involution numbers, their "
         "partial sums, valuations, cycle-index polynomials and asymptotics.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, help):
+    for command, actions in COMMANDS.items():
         # no option has a parser default, so only the options given appear in
         # the namespace; _dispatch supplies the defaults of the action
-        return sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
-
-    # each command runs one action; a second action flag is a usage error
-    p = command("invol", help="involution numbers and polynomials")
-    action = p.add_mutually_exclusive_group(required=True)
-    action.add_argument("--n", type=int)
-    action.add_argument("--table", action="store_true", help="print values 0..max")
-    p.add_argument("--poly", action="store_true", help="print the involution polynomial")
-    p.add_argument("--max", type=int)
-    p.add_argument("--format", choices=SEQUENCE_FORMATS)
-
-    p = command("sums", help="partial sums and Cauchy identities")
-    action = p.add_mutually_exclusive_group(required=True)
-    action.add_argument("--n", type=int)
-    action.add_argument("--table", action="store_true")
-    action.add_argument("--cauchy", type=int, metavar="N",
-                        help="alternating Cauchy sum at N")
-    action.add_argument("--b-k", type=int, metavar="K", help="rational b(K)")
-    p.add_argument("--max", type=int)
-    p.add_argument("--format", choices=SEQUENCE_FORMATS)
-
-    p = command("restricted", help="bounded-cycle permutation counts")
-    p.add_argument("--n", type=int)
-    p.add_argument("--l", type=int)
-    action = p.add_mutually_exclusive_group()
-    action.add_argument("--cycle-index", action="store_true")
-    action.add_argument("--determinant", action="store_true",
-                        help="via the Toeplitz determinant (small n only)")
-    p.add_argument("--format", choices=("plain", "json"))
-
-    p = command("valuation", help="p-adic valuations and trees")
-    action = p.add_mutually_exclusive_group(required=True)
-    action.add_argument("--nu2-involution", type=int, metavar="N")
-    action.add_argument("--nu2-partial-sum", type=int, metavar="N")
-    action.add_argument("--efficiency-scan", action="store_true")
-    action.add_argument("--tree", action="store_true")
-    action.add_argument("--conjecture", action="store_true")
-    p.add_argument("--prime", type=int)
-    p.add_argument("--depth", type=int)
-    p.add_argument("--max", type=int)
-    p.add_argument("--format", choices=("plain", "json"))
-
-    p = command("asym", help="saddle-point estimates")
-    p.add_argument("--n", type=int)
-    p.add_argument("--l", type=int)
-    action = p.add_mutually_exclusive_group()
-    action.add_argument("--saddle", action="store_true", help="print the saddle point")
-    action.add_argument("--beta", type=int, metavar="K",
-                        help="exponent coefficient beta_K (printed and extracted)")
-    action.add_argument("--sweep", type=int, nargs="+", metavar="N",
-                        help="CSV of exact vs estimate over the given n values")
-
-    p = command("oracle", help="brute-force cycle-type census")
-    p.add_argument("--n", type=int)
-    p.add_argument("--formula", action="store_true",
-                   help="use the counting formula instead of enumeration")
-
-    p = command("verify", help="run a named invariant suite")
-    p.add_argument("--suite")
-    p.add_argument("--list", action="store_true")
-    p.add_argument("--max", type=int)
-    p.add_argument("--format", choices=("plain", "json"))
-
+        p = sub.add_parser(command, help=COMMAND_HELP[command],
+                           argument_default=argparse.SUPPRESS)
+        # a second action flag is a usage error; argparse cannot format the
+        # help of an empty group
+        group = (p.add_mutually_exclusive_group(required=None not in actions)
+                 if actions.keys() - {None} else None)
+        for dest, spelling in FLAGS.items():
+            if dest in actions:
+                group.add_argument(_flag(dest), **spelling)
+            elif any(dest in action.options for action in actions.values()):
+                p.add_argument(_flag(dest), **spelling)
+        formats = dict.fromkeys(f for action in actions.values() for f in action.formats)
+        if len(formats) > 1:
+            p.add_argument("--format", choices=tuple(formats))
     return parser
 
 

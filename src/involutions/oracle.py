@@ -11,6 +11,7 @@ from .exactnum import as_partition, factorial, partitions
 from .involution import UniPoly
 
 ENUMERATION_CAP = 9  # 9! = 362880 permutations
+CENSUS_BUDGET = 50  # p(50) = 204226 partitions, one entry each: about 4 s and 71 MB
 
 
 @dataclass
@@ -78,10 +79,11 @@ def cycle_type_count(n: int, cycle_type) -> int:
 
 
 def partition_census(n: int) -> CycleCensus:
-    """Census from the counting formula, one partition at a time; intended
-    for n up to a few dozen."""
+    """Census from the counting formula, one partition at a time, for n <= CENSUS_BUDGET."""
     if n < 0:
         raise ValueError("requires n >= 0")
+    if n > CENSUS_BUDGET:
+        raise ValueError(f"n = {n} exceeds the census budget {CENSUS_BUDGET}")
     return CycleCensus(n, {lam: cycle_type_count(n, lam) for lam in partitions(n)})
 
 

@@ -82,10 +82,15 @@ def is_efficient(p: int) -> bool:
     return 0 not in islice(involution_numbers(p), p)
 
 
+SCAN_BUDGET = 3 * 10**4  # time grows as bound^2 at flat memory: 3 * 10^4 takes about 6 s
+
+
 def inefficient_primes_upto(bound: int) -> list[int]:
-    """All inefficient odd primes <= bound, ascending."""
+    """All inefficient odd primes <= bound, ascending, for bound <= SCAN_BUDGET."""
     if bound < 3:
         raise ValueError("requires bound >= 3")
+    if bound > SCAN_BUDGET:
+        raise ValueError(f"bound = {bound} exceeds the scan budget {SCAN_BUDGET}")
     return [p for p in primes_upto(bound) if p != 2 and not is_efficient(p)]
 
 

@@ -2,10 +2,8 @@ import argparse
 import decimal
 import functools
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -118,34 +116,18 @@ def test_table_prints_the_integer_values(command, fmt, top, capsys):
     assert captured.err == ""
 
 
-def _child_env():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(Path(__file__).resolve().parent.parent / "src"),
-                      env.get("PYTHONPATH")])
-    )
-    return env
-
-
-def test_table_streams_in_bounded_memory():
+def test_table_streams_in_bounded_memory(run_measured):
     # rows are printed as they are computed: holding all 20001 values first
-    # peaked at 184 MB.  The command runs in a grandchild, started by a small
-    # interpreter, because on Linux a process's peak RSS includes its parent's
-    # at the fork, and the test process is large.
-    child = (
-        "import resource, subprocess, sys\n"
-        "code = subprocess.call([sys.executable, '-m', 'involutions.cli', 'invol', '--table',"
-        " '--max', '20000', '--format', 'bfile'])\n"
-        "print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss, file=sys.stderr)\n"
-    )
-    proc = subprocess.Popen([sys.executable, "-c", child], stdout=subprocess.PIPE,
-                            stderr=subprocess.PIPE, env=_child_env())
-    rows, last = 0, b""
-    for last in proc.stdout:
-        rows += 1
-    _, err = proc.communicate(timeout=120)
-    code, peak_kb = map(int, err.split())
-    assert code == EXIT_OK and rows == 20001
+    # peaked at 184 MB
+    def count_rows(stdout):
+        rows, last = 0, b""
+        for last in stdout:
+            rows += 1
+        return rows, last
+    proc, peak_kb = run_measured("-m", "involutions.cli", "invol", "--table", "--max", "20000",
+                                 "--format", "bfile", read=count_rows)
+    rows, last = proc.stdout
+    assert proc.returncode == EXIT_OK and rows == 20001
     n, value = last.split()
     assert n == b"20000" and decimal.Decimal(value.decode()) == involution_number(20000)
     assert peak_kb < 40 * 1024
@@ -580,6 +562,42 @@ def test_every_option_is_an_action_or_read_by_one():
         assert actions | read == set(flags)
 
 
+def test_every_flag_spelling_is_used():
+    # build_parser() adds only the flags COMMANDS uses, so a dead spelling
+    # would go unnoticed
+    used = {dest for actions in cli.COMMANDS.values() for chosen, action in actions.items()
+            for dest in [chosen, *action.options] if dest is not None}
+    assert set(cli.FLAGS) == used
+
+
+USAGE = {
+    "invol": "usage: involutions invol [-h] (--n N | --table) [--poly] [--max MAX]\n"
+             "                         [--format {plain,json,csv,bfile}]",
+    "sums": "usage: involutions sums [-h] (--n N | --table | --cauchy N | --b-k K)\n"
+            "                        [--max MAX] [--format {plain,json,csv,bfile}]",
+    "restricted": "usage: involutions restricted [-h] [--n N] [--l L]\n"
+                  "                              [--cycle-index | --determinant]\n"
+                  "                              [--format {plain,json}]",
+    "valuation": "usage: involutions valuation [-h]\n"
+                 "                             (--nu2-involution N | --nu2-partial-sum N"
+                 " | --efficiency-scan | --tree | --conjecture)\n"
+                 "                             [--prime PRIME] [--depth DEPTH] [--max MAX]\n"
+                 "                             [--format {plain,json}]",
+    "asym": "usage: involutions asym [-h] [--n N] [--l L]\n"
+            "                        [--saddle | --beta K | --sweep N [N ...]]",
+    "oracle": "usage: involutions oracle [-h] [--n N] [--formula]",
+    "verify": "usage: involutions verify [-h] [--suite SUITE] [--list] [--max MAX]\n"
+              "                          [--format {plain,json}]",
+}
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_usage_line(command, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage lines to it
+    assert run([command, "--help"]) == EXIT_OK
+    assert capsys.readouterr().out.split("\n\n")[0] == USAGE[command]
+
+
 def _given(flag, option):
     return [flag] if option.nargs == 0 else [flag, "2"]
 
@@ -600,11 +618,11 @@ def test_every_option_the_action_does_not_read_is_rejected(command, action, opti
     assert captured.out == "" and captured.err == f"{label}: {option} is not used here\n"
 
 
-def test_closed_pipe_ends_without_a_traceback():
+def test_closed_pipe_ends_without_a_traceback(child_env):
     # far more output than a pipe buffers, so the writer meets the closed pipe
     proc = subprocess.Popen(
         [sys.executable, "-m", "involutions.cli", "invol", "--table", "--max", "1000"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env(),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env,
     )
     assert proc.stdout.read(10) == b"1\n1\n2\n4\n10"
     proc.stdout.close()
@@ -620,10 +638,10 @@ def test_closed_pipe_ends_without_a_traceback():
     (["sums", "--n", "4", "--max", "3"], ["sums", "--n", "4"]),
 ], ids=["two-actions", "no-action", "two-flags", "unread-option"])
 def test_run_after_a_usage_error_prints_what_a_fresh_process_prints(error, valid, capsys,
-                                                                    monkeypatch):
+                                                                    monkeypatch, child_env):
     # run() reuses one parser, so an error must leave nothing behind in it
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage lines to it
-    env = dict(_child_env(), COLUMNS="80")
+    env = dict(child_env, COLUMNS="80")
     fresh = {}
     for argv in (error, valid):
         proc = subprocess.run([sys.executable, "-m", "involutions.cli", *argv],

@@ -1,6 +1,5 @@
 """Every demo script runs to completion in a fresh interpreter."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -12,13 +11,9 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
-def test_demo_runs(demo):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
-    )
+def test_demo_runs(demo, child_env):
     proc = subprocess.run(
-        [sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, str(demo)], env=child_env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
     if demo.name.startswith("04_"):

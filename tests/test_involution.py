@@ -1,10 +1,7 @@
 import decimal
-import os
-import subprocess
 import sys
 import threading
 from itertools import islice
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -78,11 +75,10 @@ def test_descending_read_restarts():
         involution_number(-1)
 
 
-def test_reads_run_in_constant_memory():
+def test_reads_run_in_constant_memory(run_measured):
     # the cursor keeps one term: at the memo tables' n = 50000, I alone
     # peaked at 1157 MB; the residues cross-check the values
     child = (
-        "import resource\n"
         "from involutions.involution import involution_number\n"
         "from involutions.partialsum import partial_sum\n"
         "from involutions.valuation import involution_mod_sequence\n"
@@ -90,17 +86,10 @@ def test_reads_run_in_constant_memory():
         "residues = involution_mod_sequence(P, 50000)\n"
         "assert involution_number(50000) % P == residues[-1]\n"
         "assert partial_sum(50000) % P == sum(residues) % P\n"
-        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(Path(__file__).resolve().parent.parent / "src"),
-                      env.get("PYTHONPATH")])
-    )
-    proc = subprocess.run([sys.executable, "-c", child], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc, peak_kb = run_measured("-c", child)
     assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) < 100 * 1024
+    assert peak_kb < 100 * 1024
 
 
 def test_terms_over_decimal_equal_the_terms_over_int():

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from involutions import oracle
 from involutions.cyclecount import cycle_index_poly, restricted_count
 from involutions.exactnum import factorial
 from involutions.involution import involution_number, involution_poly
@@ -37,6 +38,17 @@ def test_partition_census_larger_n():
     census = partition_census(20)
     assert census.total() == factorial(20)
     assert census_involution_count(census) == involution_number(20)
+
+
+def test_partition_census_budget(monkeypatch):
+    # an n past CENSUS_BUDGET is refused before any partition is listed
+    def no_partitions(n):
+        raise AssertionError(f"the partitions of {n} were listed")
+    monkeypatch.setattr(oracle, "partitions", no_partitions)
+    with pytest.raises(ValueError, match=f"census budget {oracle.CENSUS_BUDGET}$"):
+        partition_census(oracle.CENSUS_BUDGET + 1)
+    with pytest.raises(AssertionError, match="partitions"):
+        partition_census(oracle.CENSUS_BUDGET)
 
 
 def test_enumeration_cap():

@@ -1,9 +1,4 @@
 import json
-import os
-import resource
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -36,15 +31,6 @@ INEFFICIENT_62 = [
     433, 443, 449, 457, 461, 463, 479, 487,
     491, 499, 509, 521, 523, 541,
 ]
-
-
-def _child_env():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(Path(__file__).resolve().parent.parent / "src"),
-                      env.get("PYTHONPATH")])
-    )
-    return env
 
 
 def test_nu2_involution_examples():
@@ -103,12 +89,9 @@ def test_periodicity_rejects_a_negative_bound():
         periodicity_check(5, 1, -1)
 
 
-def test_periodicity_holds_a_window_of_p_to_the_r_residues():
+def test_periodicity_holds_a_window_of_p_to_the_r_residues(run_measured):
     # the stream is compared with itself 7^3 terms later: holding all
-    # 2 * 10^6 + 7^3 + 1 residues first raised the peak by 28 MB.  The check
-    # runs in a grandchild, started by a small interpreter, because on Linux
-    # a process's peak RSS includes its parent's at the fork, and the test
-    # process is large.
+    # 2 * 10^6 + 7^3 + 1 residues first raised the peak by 28 MB
     grandchild = (
         "import resource\n"
         "from involutions.valuation import periodicity_check\n"
@@ -116,12 +99,7 @@ def test_periodicity_holds_a_window_of_p_to_the_r_residues():
         "assert periodicity_check(7, 3, 2 * 10**6)\n"
         "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
     )
-    child = (
-        "import subprocess, sys\n"
-        f"sys.exit(subprocess.call([sys.executable, '-c', {grandchild!r}]))\n"
-    )
-    proc = subprocess.run([sys.executable, "-c", child], env=_child_env(),
-                          capture_output=True, text=True, timeout=120)
+    proc, _ = run_measured("-c", grandchild)
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout) < 10 * 1024
 
@@ -269,19 +247,14 @@ def test_mod_sequence_matches_exact_values(modulus):
     ]
 
 
-def test_deep_conjecture_check_runs_in_bounded_memory():
+def test_deep_conjecture_check_runs_in_bounded_memory(run_measured):
     # 5^8 = 390625 is inside the default budget; the certification sweep
     # is 3 * 5^8 residues and no exact I(n) is built
-    proc = subprocess.run(
-        [sys.executable, "-m", "involutions.cli", "valuation", "--conjecture",
-         "--prime", "5", "--depth", "8", "--format", "json"],
-        env=_child_env(), capture_output=True, text=True, timeout=120,
-    )
+    proc, peak_kb = run_measured("-m", "involutions.cli", "valuation", "--conjecture",
+                                 "--prime", "5", "--depth", "8", "--format", "json")
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
     assert doc["prime"] == 5 and len(doc["levels"]) == 8
-    # the largest child so far, hence an upper bound on this child's peak
-    peak_kb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
     assert peak_kb < 300 * 1024
 
 
@@ -333,6 +306,17 @@ def test_tree_budget():
     # 5^9 = 1953125 is the first power of 5 beyond TREE_BUDGET = 10^6
     with pytest.raises(ValueError, match="budget"):
         build_valuation_tree(5, 9)
+
+
+def test_efficiency_scan_budget(monkeypatch):
+    # a bound past SCAN_BUDGET is refused before its sieve is built
+    def sieve(bound):
+        raise AssertionError(f"a sieve to {bound} was built")
+    monkeypatch.setattr(valuation, "primes_upto", sieve)
+    with pytest.raises(ValueError, match=f"scan budget {valuation.SCAN_BUDGET}$"):
+        inefficient_primes_upto(valuation.SCAN_BUDGET + 1)
+    with pytest.raises(AssertionError, match="sieve"):
+        inefficient_primes_upto(valuation.SCAN_BUDGET)
 
 
 def test_nu3_pattern_examples():
