@@ -12,7 +12,14 @@ from involutions import (
     involution_number_bisplit,
     involution_number_by_sum,
     involution_poly,
+    poly_text,
 )
+
+
+def t_text(coeffs):
+    """A polynomial in t, given by its coefficients of t^0, t^1, ..."""
+    return poly_text((((k,), coeffs[k]) for k in reversed(range(len(coeffs)))), ["t"])
+
 
 print("n, I(n) by recurrence, by finite sum, by bisplit:")
 for n in range(11):
@@ -27,11 +34,11 @@ print("Fixed-point refinement: the coefficient of t^k counts involutions")
 print("with exactly k fixed points.")
 for n in range(7):
     p = involution_poly(n)
-    print(f"  I({n}; t) = {p},  I({n}; 1) = {p(1)},  matchings I({n}; 0) = {p(0)}")
+    print(f"  I({n}; t) = {t_text(p)},  I({n}; 1) = {sum(p)},  matchings I({n}; 0) = {p[0]}")
 
 print()
 print("Flipping the sign of every other even-degree-gap coefficient turns")
 print("the involution polynomial into the probabilist's Hermite polynomial:")
 for n in (3, 4, 5):
-    print(f"  I({n}; t) = {involution_poly(n)}")
-    print(f"  H_{n}(t)  = {hermite_poly(n)}")
+    print(f"  I({n}; t) = {t_text(involution_poly(n))}")
+    print(f"  H_{n}(t)  = {t_text(hermite_poly(n))}")

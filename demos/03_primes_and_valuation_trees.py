@@ -24,7 +24,7 @@ for level in tree.levels:
         status = (
             f"terminal, nu5 = {v.valuation}"
             if v.terminal
-            else f"open, nu5 >= {v.lower_bound}"
+            else f"open, nu5 >= {v.level}"
         )
         print(f"  n = {v.residue} mod {5 ** v.level}: {status}")
 

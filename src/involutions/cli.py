@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple
 import mpmath
 
 from . import asymptotic, cyclecount, involution, oracle, partialsum, series, valuation
-from .exactnum import nu_int, nu_rat, partitions
+from .exactnum import nu_int, nu_rat, partitions, poly_text
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -67,8 +67,11 @@ def _print_table(terms, name: str, args) -> int | None:
 
 
 def _invol_n(args) -> None:
-    value = involution.involution_poly if args.poly else involution.involution_number
-    print(value(args.n))
+    if args.poly:
+        coeffs = involution.involution_poly(args.n)
+        print(poly_text((((k,), coeffs[k]) for k in reversed(range(len(coeffs)))), ["t"]))
+    else:
+        print(involution.involution_number(args.n))
 
 
 def _print_poly(poly, fmt: str) -> None:
@@ -111,9 +114,9 @@ def _sweep(args) -> None:
 
 
 def _oracle(args) -> None:
-    by_formula = args.formula or args.n > oracle.ENUMERATION_CAP
+    by_formula = args.n > oracle.ENUMERATION_CAP
     census = (oracle.partition_census if by_formula else oracle.enumerate_census)(args.n)
-    print(census.to_json())
+    census.write_json(sys.stdout)
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +461,7 @@ COMMANDS = {
         "beta": Action(_beta, {"l": 2}),
         "sweep": Action(_sweep, {"l": 2}),
     },
-    "oracle": {None: Action(_oracle, {"n": REQUIRED, "formula": False})},
+    "oracle": {None: Action(_oracle, {"n": REQUIRED})},
     "verify": {
         None: Action(_verify, {"suite": "all", "max": None}, ("plain", "json")),
         "list": Action(lambda a: print("\n".join(sorted(SUITES))), {}),
@@ -518,7 +521,6 @@ FLAGS = {
              "help": "exponent coefficient beta_K (printed and extracted)"},
     "sweep": {"type": int, "nargs": "+", "metavar": "N",
               "help": "CSV of exact vs estimate over the given n values"},
-    "formula": {"action": "store_true", "help": "use the counting formula instead of enumeration"},
     "suite": {},
     "list": {"action": "store_true"},
     "max": {"type": int},

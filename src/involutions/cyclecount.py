@@ -7,8 +7,7 @@ import json
 from collections import deque
 from itertools import count, islice
 
-from .involution import UniPoly
-from .exactnum import as_partition
+from .exactnum import as_partition, poly_text
 
 
 def _grade(exponents: tuple[int, ...]) -> int:
@@ -43,16 +42,14 @@ class CycleIndexPoly:
         """Every monomial satisfies sum_t t * e_t = n."""
         return all(_grade(exps) == n for exps in self.terms)
 
-    def substitute_y1(self) -> UniPoly:
-        """Set Y1 = t and all other variables to 1."""
-        coeffs: dict[int, int] = {}
+    def substitute_y1(self) -> list[int]:
+        """Set Y1 = t and all other variables to 1: coefficients of t^0, t^1, ..."""
+        coeffs = [0] * (max((exps[0] for exps in self.terms), default=-1) + 1)
         for exps, coeff in self.terms.items():
-            k = exps[0] if exps else 0
-            coeffs[k] = coeffs.get(k, 0) + coeff
-        out = [0] * (max(coeffs, default=0) + 1)
-        for k, c in coeffs.items():
-            out[k] = c
-        return UniPoly(out)
+            coeffs[exps[0]] += coeff
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
+        return coeffs
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
         return sorted(
@@ -76,23 +73,7 @@ class CycleIndexPoly:
         return json.dumps(doc, sort_keys=True)
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for exps, coeff in self.sorted_terms():
-            factors = []
-            for t, e in enumerate(exps, start=1):
-                if e == 1:
-                    factors.append(f"Y{t}")
-                elif e > 1:
-                    factors.append(f"Y{t}^{e}")
-            if not factors:
-                parts.append(str(coeff))
-            elif coeff == 1:
-                parts.append("*".join(factors))
-            else:
-                parts.append(f"{coeff}*" + "*".join(factors))
-        return " + ".join(parts)
+        return poly_text(self.sorted_terms(), [f"Y{t}" for t in range(1, self.l + 1)])
 
     def __repr__(self):
         return f"CycleIndexPoly(l={self.l}, terms={self.terms!r})"

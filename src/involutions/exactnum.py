@@ -138,3 +138,25 @@ def nu_int(x: int, p: int) -> int:
 def nu_rat(x: Fraction, p: int) -> int:
     """nu_p extended to nonzero rationals; may be negative."""
     return nu_int(x.numerator, p) - nu_int(x.denominator, p)
+
+
+def poly_text(terms, names) -> str:
+    """Polynomial text such as ``t^4 - 6*t^2 + 3`` or ``Y1^2 + Y2``.
+
+    `terms` are (exponent tuple, coefficient) pairs in print order; the
+    exponent of ``names[i]`` is ``exponents[i]``.  Zero terms are skipped,
+    and no terms at all print as ``0``.
+    """
+    text = ""
+    for exponents, coeff in terms:
+        if not coeff:
+            continue
+        factors = [name if e == 1 else f"{name}^{e}" for name, e in zip(names, exponents) if e]
+        if abs(coeff) != 1 or not factors:
+            factors.insert(0, str(abs(coeff)))
+        body = "*".join(factors)
+        if text:
+            text += (" - " if coeff < 0 else " + ") + body
+        else:
+            text = "-" + body if coeff < 0 else body
+    return text or "0"

@@ -1,4 +1,8 @@
-"""Involution numbers, involution polynomials and their identities."""
+"""Involution numbers, involution polynomials and their identities.
+
+A polynomial in t is a list of integer coefficients: index k holds the
+coefficient of t^k, and the last entry is nonzero.
+"""
 
 from __future__ import annotations
 
@@ -6,79 +10,6 @@ import threading
 from itertools import count, islice
 
 from .exactnum import binomial, factorial
-
-
-class UniPoly:
-    """Dense univariate polynomial with integer coefficients, index = degree."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        coeffs = list(coeffs)
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        self.coeffs = coeffs
-
-    @property
-    def degree(self) -> int:
-        """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    def coefficient(self, k: int) -> int:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return 0
-
-    def __call__(self, t):
-        value = 0
-        for c in reversed(self.coeffs):
-            value = value * t + c
-        return value
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = UniPoly([other])
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __add__(self, other: "UniPoly") -> "UniPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly(
-            [self.coefficient(k) + other.coefficient(k) for k in range(n)]
-        )
-
-    def __rmul__(self, k: int) -> "UniPoly":
-        """k * poly for an integer k."""
-        return UniPoly([k * c for c in self.coeffs])
-
-    def shift(self, k: int) -> "UniPoly":
-        """Multiply by t**k."""
-        return UniPoly([0] * k + self.coeffs)
-
-    def __repr__(self):
-        return f"UniPoly({self.coeffs!r})"
-
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        terms = []
-        for k in range(self.degree, -1, -1):
-            c = self.coefficient(k)
-            if c == 0:
-                continue
-            if k == 0:
-                body = str(abs(c))
-            else:
-                var = "t" if k == 1 else f"t^{k}"
-                body = var if abs(c) == 1 else f"{abs(c)}*{var}"
-            sign = "-" if c < 0 else "+"
-            terms.append((sign, body))
-        first_sign, first_body = terms[0]
-        s = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in terms[1:]:
-            s += f" {sign} {body}"
-        return s
 
 
 def involution_numbers(modulus: int = 0, one=1):
@@ -164,7 +95,7 @@ def involution_number_bisplit(n: int, m: int) -> int:
     return total
 
 
-def involution_poly(n: int) -> UniPoly:
+def involution_poly(n: int) -> list[int]:
     """Generating polynomial of involutions by fixed-point count.
 
     Coefficient of t^(n-2j) is C(n,2j) (2j)!/(2^j j!).  Value at t=1 is the
@@ -173,20 +104,20 @@ def involution_poly(n: int) -> UniPoly:
     coeffs = [0] * (n + 1)
     for j, t in enumerate(involution_terms(n)):
         coeffs[n - 2 * j] = t
-    return UniPoly(coeffs)
+    return coeffs
 
 
-def involution_poly_by_recurrence(n: int) -> UniPoly:
+def involution_poly_by_recurrence(n: int) -> list[int]:
     """Same polynomial from P(n) = t P(n-1) + (n-1) P(n-2), P(0)=1, P(1)=t."""
     if n == 0:
-        return UniPoly([1])
-    prev, cur = UniPoly([1]), UniPoly([0, 1])
+        return [1]
+    prev, cur = [1], [0, 1]
     for m in range(2, n + 1):
-        prev, cur = cur, cur.shift(1) + (m - 1) * prev
+        prev, cur = cur, [a + (m - 1) * b for a, b in zip([0] + cur, prev + [0, 0])]
     return cur
 
 
-def hermite_poly(n: int) -> UniPoly:
+def hermite_poly(n: int) -> list[int]:
     """Probabilistic Hermite polynomial; integer coefficients.
 
     H(n) = n! sum_j (-1)^j / (j! (n-2j)! 2^j) t^(n-2j).
@@ -194,7 +125,7 @@ def hermite_poly(n: int) -> UniPoly:
     coeffs = [0] * (n + 1)
     for j, t in enumerate(involution_terms(n)):
         coeffs[n - 2 * j] = -t if j % 2 else t
-    return UniPoly(coeffs)
+    return coeffs
 
 
 def hermite_relation_check(n: int) -> bool:
@@ -207,18 +138,18 @@ def hermite_relation_check(n: int) -> bool:
     He(0) = 1, He(1) = t, which is checked at n.
     """
     if n < 2:
-        return hermite_poly(n) == UniPoly([0] * n + [1])
-    expected = hermite_poly(n - 1).shift(1) + (1 - n) * hermite_poly(n - 2)
-    return hermite_poly(n) == expected
+        return hermite_poly(n) == [0] * n + [1]
+    higher, lower = hermite_poly(n - 1), hermite_poly(n - 2)
+    return hermite_poly(n) == [a + (1 - n) * b for a, b in zip([0] + higher, lower + [0, 0])]
 
 
-def umbral_derivative_coeffs(m: int) -> UniPoly:
+def umbral_derivative_coeffs(m: int) -> list[int]:
     """Polynomial P with d^m/dx^m exp(x + x^2/2) = exp(x + x^2/2) P(x).
 
     P(x) = sum_k C(m,k) I(m-k) x^k.
     """
     values = list(islice(involution_numbers(), m + 1))
-    return UniPoly([binomial(m, k) * values[m - k] for k in range(m + 1)])
+    return [binomial(m, k) * values[m - k] for k in range(m + 1)]
 
 
 def perfect_matchings(n: int) -> int:

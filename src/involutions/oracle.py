@@ -3,12 +3,10 @@ and the classical cycle-type counting formula for moderate n."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import permutations as iter_permutations
 
 from .exactnum import as_partition, factorial, partitions
-from .involution import UniPoly
 
 ENUMERATION_CAP = 9  # 9! = 362880 permutations
 CENSUS_BUDGET = 50  # p(50) = 204226 partitions, one entry each: about 4 s and 71 MB
@@ -24,16 +22,21 @@ class CycleCensus:
     def total(self) -> int:
         return sum(self.counts.values())
 
-    def to_json(self) -> str:
-        doc = {
-            "schema": "involutions/cycle-census/1",
-            "n": self.n,
-            "counts": {
-                "+".join(map(str, key)): value
-                for key, value in sorted(self.counts.items(), reverse=True)
-            },
-        }
-        return json.dumps(doc, sort_keys=True)
+    def write_json(self, out) -> None:
+        """Write the census as one JSON line to the text stream `out`.
+
+        The bytes are those of json.dumps(doc, sort_keys=True) and a newline,
+        written an entry at a time.  A cycle type's key is its parts joined
+        by "+", and sort_keys orders the keys as strings ("10" before "2"),
+        so only that order is held, never a second copy of the census.
+        """
+        def key(lam):
+            return "+".join(map(str, lam))
+
+        out.write('{"counts": {')
+        out.writelines(f'{", " if i else ""}"{key(lam)}": {self.counts[lam]}'
+                       for i, lam in enumerate(sorted(self.counts, key=key)))
+        out.write(f'}}, "n": {self.n}, "schema": "involutions/cycle-census/1"}}\n')
 
 
 def cycle_type(perm: tuple[int, ...]) -> tuple[int, ...]:
@@ -101,7 +104,7 @@ def census_restricted_count(census: CycleCensus, l: int) -> int:
     )
 
 
-def census_fixed_point_poly(census: CycleCensus) -> UniPoly:
+def census_fixed_point_poly(census: CycleCensus) -> list[int]:
     """Generating polynomial sum t^(number of fixed points) over involutions."""
     coeffs = [0] * (census.n + 1)
     for lam, count in census.counts.items():
@@ -109,7 +112,7 @@ def census_fixed_point_poly(census: CycleCensus) -> UniPoly:
             continue
         fixed = sum(1 for part in lam if part == 1)
         coeffs[fixed] += count
-    return UniPoly(coeffs)
+    return coeffs
 
 
 def census_cycle_index_terms(census: CycleCensus, l: int) -> dict[tuple[int, ...], int]:

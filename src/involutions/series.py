@@ -207,10 +207,7 @@ def umbral_derivative_check(m: int, order: int = 30) -> bool:
     deriv = f
     for _ in range(m):
         deriv = series_derive(deriv)
-    poly = umbral_derivative_coeffs(m)
-    poly_series = TruncatedEGF(
-        [Fraction(poly.coefficient(k)) for k in range(order + 1)], order
-    )
+    poly_series = TruncatedEGF(umbral_derivative_coeffs(m), order)
     return series_mul(f, poly_series).truncate(order - m) == deriv
 
 

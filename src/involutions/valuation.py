@@ -118,22 +118,24 @@ def periodicity_check(p: int, r: int, n_max: int) -> bool:
 class TreeVertex:
     """Residue class {n == residue mod p^level} with its valuation status.
 
-    Terminal vertices carry the common valuation of the class; non-terminal
-    vertices carry a lower bound (= level) on it.
+    Terminal vertices carry the common valuation of the class; on a
+    non-terminal vertex the level is a lower bound on it.
     """
 
     level: int
     residue: int
-    terminal: bool
-    valuation: int | None = None  # set when terminal
-    lower_bound: int | None = None  # set when non-terminal
+    valuation: int | None = None  # None while the class is open
+
+    @property
+    def terminal(self) -> bool:
+        return self.valuation is not None
 
     def to_dict(self, p: int) -> dict:
         return {
             "residue": self.residue,
             "modulus": p**self.level,
             "status": "terminal" if self.terminal else "nonterminal",
-            "valuation_or_bound": self.valuation if self.terminal else self.lower_bound,
+            "valuation_or_bound": self.valuation if self.terminal else self.level,
         }
 
 
@@ -203,12 +205,11 @@ def build_valuation_tree(p: int, max_level: int) -> ValuationTree:
                 c = base + k * prev_modulus
                 value_mod = residues[c] % modulus
                 if value_mod != 0:
-                    vertex = TreeVertex(level, c, terminal=True,
-                                        valuation=nu_int(value_mod, p))
+                    vertex = TreeVertex(level, c, nu_int(value_mod, p))
                     read_below(c + (CERTIFY_N - 1) * modulus + 1)
                     _certify_terminal(vertex, p, residues)
                 else:
-                    vertex = TreeVertex(level, c, terminal=False, lower_bound=level)
+                    vertex = TreeVertex(level, c)
                     next_frontier.append(c)
                 vertices.append(vertex)
         vertices.sort(key=lambda v: v.residue)

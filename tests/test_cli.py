@@ -9,7 +9,8 @@ import pytest
 
 from involutions import cli, valuation
 from involutions.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, SUITES, build_parser, run
-from involutions.involution import involution_number
+from involutions.exactnum import poly_text
+from involutions.involution import hermite_poly, involution_number
 from involutions.partialsum import partial_sum
 
 
@@ -28,6 +29,55 @@ def test_invol_single(capsys):
 def test_invol_poly(capsys):
     assert run(["invol", "--n", "3", "--poly"]) == EXIT_OK
     assert out_lines(capsys) == ["t^3 + 3*t"]
+
+
+# polynomial text as printed before poly_text was the one renderer
+INVOL_POLY_TEXT = [
+    "1", "t", "t^2 + 1", "t^3 + 3*t", "t^4 + 6*t^2 + 3", "t^5 + 10*t^3 + 15*t",
+    "t^6 + 15*t^4 + 45*t^2 + 15", "t^7 + 21*t^5 + 105*t^3 + 105*t",
+    "t^8 + 28*t^6 + 210*t^4 + 420*t^2 + 105", "t^9 + 36*t^7 + 378*t^5 + 1260*t^3 + 945*t",
+    "t^10 + 45*t^8 + 630*t^6 + 3150*t^4 + 4725*t^2 + 945",
+    "t^11 + 55*t^9 + 990*t^7 + 6930*t^5 + 17325*t^3 + 10395*t",
+    "t^12 + 66*t^10 + 1485*t^8 + 13860*t^6 + 51975*t^4 + 62370*t^2 + 10395",
+]
+HERMITE_TEXT = ["1", "t", "t^2 - 1", "t^3 - 3*t", "t^4 - 6*t^2 + 3", "t^5 - 10*t^3 + 15*t",
+                "t^6 - 15*t^4 + 45*t^2 - 15"]
+CYCLE_INDEX_TEXT = {
+    (0, 1): "1",
+    (1, 1): "Y1",
+    (4, 3): "Y1^4 + 6*Y1^2*Y2 + 8*Y1*Y3 + 3*Y2^2",
+    (5, 2): "Y1^5 + 10*Y1^3*Y2 + 15*Y1*Y2^2",
+    (5, 4): "Y1^5 + 10*Y1^3*Y2 + 20*Y1^2*Y3 + 15*Y1*Y2^2 + 30*Y1*Y4 + 20*Y2*Y3",
+    (6, 6): "Y1^6 + 15*Y1^4*Y2 + 40*Y1^3*Y3 + 45*Y1^2*Y2^2 + 90*Y1^2*Y4 + 120*Y1*Y2*Y3"
+            " + 144*Y1*Y5 + 15*Y2^3 + 90*Y2*Y4 + 40*Y3^2 + 120*Y6",
+}
+POLY_TEXT = [
+    *((["invol", "--n", str(n), "--poly"], text) for n, text in enumerate(INVOL_POLY_TEXT)),
+    *((["restricted", "--n", str(n), "--l", str(l), flag], text)
+      for (n, l), text in CYCLE_INDEX_TEXT.items() for flag in ("--cycle-index", "--determinant")),
+    # a list of ints is a polynomial in t, rendered as `invol --poly` renders it
+    *((hermite_poly(n), text) for n, text in enumerate(HERMITE_TEXT)),
+    ([0, -1], "-t"),
+    ([-1, -1], "-t - 1"),
+    ([1, 0, -3], "-3*t^2 + 1"),
+    ([], "0"),
+]
+
+
+def _is_poly_in_t(source):
+    return all(isinstance(c, int) for c in source)
+
+
+@pytest.mark.parametrize("source, text", POLY_TEXT, ids=[
+    "coeffs=" + ",".join(map(str, source)) if _is_poly_in_t(source)
+    else "-".join(a.lstrip("-") for a in source) for source, _ in POLY_TEXT])
+def test_one_renderer_prints_every_polynomial(source, text, capsys):
+    if _is_poly_in_t(source):
+        terms = (((k,), source[k]) for k in reversed(range(len(source))))
+        assert poly_text(terms, ["t"]) == text
+    else:
+        assert run(source) == EXIT_OK
+        assert capsys.readouterr().out == text + "\n"
 
 
 def test_invol_table_plain(capsys):
@@ -264,12 +314,22 @@ def test_oracle_json(capsys):
     assert doc["counts"]["2+2"] == 3
 
 
-def test_oracle_formula_matches_enumeration(capsys):
-    assert run(["oracle", "--n", "6"]) == EXIT_OK
-    enumerated = json.loads(out_lines(capsys)[0])
-    assert run(["oracle", "--n", "6", "--formula"]) == EXIT_OK
-    formula = json.loads(out_lines(capsys)[0])
-    assert enumerated == formula
+def test_oracle_has_no_formula_option(capsys):
+    # n picks the census: enumeration up to ENUMERATION_CAP, the formula above
+    assert run(["oracle", "--n", "6", "--formula"]) == EXIT_USAGE
+    assert capsys.readouterr().out == ""
+
+
+def test_oracle_census_streams_in_bounded_memory(run_measured):
+    # the census at n = 50 takes about 71 MB; a sorted copy of it and the
+    # whole document, built before printing, peaked at 136 MB
+    proc, peak_kb = run_measured("-m", "involutions.cli", "oracle", "--n", "50",
+                                 read=lambda stream: stream.read())
+    assert proc.returncode == EXIT_OK
+    assert proc.stdout.startswith(b'{"counts": {"1+1+1+1+1+1+1+1+1+1+1+1+1+1+1+1+1')
+    assert proc.stdout.endswith(b'"n": 50, "schema": "involutions/cycle-census/1"}\n')
+    assert proc.stdout.count(b'": ') == 204226 + 3  # p(50) entries and 3 top-level keys
+    assert peak_kb < 110 * 1024
 
 
 def test_verify_list(capsys):
@@ -509,8 +569,8 @@ def test_option_the_action_does_not_read_is_rejected(argv, capsys):
 @pytest.mark.parametrize("argv, missing", [
     (["restricted", "--n", "5"], "restricted: --l"),
     (["asym", "--saddle"], "asym --saddle: --n"),
-    (["oracle", "--formula"], "oracle: --n"),
-], ids=["restricted-n-5", "asym-saddle", "oracle-formula"])
+    (["oracle"], "oracle: --n"),
+], ids=["restricted-n-5", "asym-saddle", "oracle"])
 def test_missing_required_option_is_rejected(argv, missing, capsys):
     assert run(argv) == EXIT_USAGE
     captured = capsys.readouterr()
@@ -538,7 +598,7 @@ READS = {
     ("asym", "--saddle"): {"--n", "--l"},
     ("asym", "--beta"): {"--l"},
     ("asym", "--sweep"): {"--l"},
-    ("oracle", None): {"--n", "--formula"},
+    ("oracle", None): {"--n"},
     ("verify", None): {"--suite", "--max"},
     ("verify", "--list"): set(),
 }
@@ -585,7 +645,7 @@ USAGE = {
                  "                             [--format {plain,json}]",
     "asym": "usage: involutions asym [-h] [--n N] [--l L]\n"
             "                        [--saddle | --beta K | --sweep N [N ...]]",
-    "oracle": "usage: involutions oracle [-h] [--n N] [--formula]",
+    "oracle": "usage: involutions oracle [-h] [--n N]",
     "verify": "usage: involutions verify [-h] [--suite SUITE] [--list] [--max MAX]\n"
               "                          [--format {plain,json}]",
 }

@@ -1,3 +1,4 @@
+import io
 import json
 
 import pytest
@@ -81,8 +82,21 @@ def test_census_cycle_index_terms():
 
 
 def test_census_json():
-    doc = json.loads(enumerate_census(4).to_json())
+    out = io.StringIO()
+    enumerate_census(4).write_json(out)
+    doc = json.loads(out.getvalue())
     assert doc["schema"] == "involutions/cycle-census/1"
     assert doc["counts"]["2+1+1"] == 6
     assert doc["counts"]["4"] == 6
     assert doc["counts"]["2+2"] == 3
+
+
+@pytest.mark.parametrize("n", [0, 1, 6, 12, 21])
+def test_census_json_equals_the_sorted_json_dumps(n):
+    # keys sort as strings ("10+2" before "2+..."), and n = 0 has the key ""
+    census = partition_census(n)
+    out = io.StringIO()
+    census.write_json(out)
+    counts = {"+".join(map(str, lam)): count for lam, count in census.counts.items()}
+    doc = {"schema": "involutions/cycle-census/1", "n": n, "counts": counts}
+    assert out.getvalue() == json.dumps(doc, sort_keys=True) + "\n"

@@ -128,7 +128,7 @@ def test_tree_level_1():
     assert [v.residue for v in vertices] == [0, 1, 2, 3, 4]
     for v in vertices[:4]:
         assert v.terminal and v.valuation == 0
-    assert not vertices[4].terminal and vertices[4].lower_bound == 1
+    assert not vertices[4].terminal and vertices[4].to_dict(5)["valuation_or_bound"] == 1
 
 
 def test_tree_level_2():
@@ -137,7 +137,7 @@ def test_tree_level_2():
     assert [v.residue for v in level2] == [4, 9, 14, 19, 24]
     for v in level2[:4]:
         assert v.terminal and v.valuation == 1
-    assert not level2[4].terminal and level2[4].lower_bound == 2
+    assert not level2[4].terminal and level2[4].to_dict(5)["valuation_or_bound"] == 2
     assert tree.levels[0] == build_valuation_tree(5, 1).levels[0]
 
 
@@ -182,10 +182,7 @@ def _reference_tree(p, depth):
         vertices = []
         for c in sorted(base + k * p ** (level - 1) for base in frontier for k in range(p)):
             value = residues[c] % p**level
-            if value:
-                vertices.append(TreeVertex(level, c, terminal=True, valuation=nu_int(value, p)))
-            else:
-                vertices.append(TreeVertex(level, c, terminal=False, lower_bound=level))
+            vertices.append(TreeVertex(level, c, nu_int(value, p) if value else None))
         levels.append(vertices)
         frontier = [v.residue for v in vertices if not v.terminal]
         if not frontier:
