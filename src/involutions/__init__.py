@@ -19,7 +19,6 @@ from .exactnum import (
 )
 from .involution import (
     hermite_poly,
-    hermite_relation_check,
     involution_number,
     involution_number_bisplit,
     involution_number_by_sum,
@@ -30,7 +29,6 @@ from .partialsum import (
     F_sum,
     b_k,
     cauchy_alternating_sum,
-    cauchy_even_identity_check,
     partial_sum,
     partial_sum_by_binomial,
 )
@@ -39,7 +37,6 @@ from .valuation import (
     conjecture_check,
     inefficient_primes_upto,
     is_efficient,
-    multinomial_congruence_check,
     nu2_involution,
     nu2_partial_sum,
     nu3_partial_sum,
@@ -88,7 +85,6 @@ __all__ = [
     "partitions",
     "poly_text",
     "hermite_poly",
-    "hermite_relation_check",
     "involution_number",
     "involution_number_bisplit",
     "involution_number_by_sum",
@@ -97,14 +93,12 @@ __all__ = [
     "F_sum",
     "b_k",
     "cauchy_alternating_sum",
-    "cauchy_even_identity_check",
     "partial_sum",
     "partial_sum_by_binomial",
     "build_valuation_tree",
     "conjecture_check",
     "inefficient_primes_upto",
     "is_efficient",
-    "multinomial_congruence_check",
     "nu2_involution",
     "nu2_partial_sum",
     "nu3_partial_sum",

@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple
 import mpmath
 
 from . import asymptotic, cyclecount, involution, oracle, partialsum, series, valuation
-from .exactnum import nu_int, nu_rat, partitions, poly_text
+from .exactnum import binomial, multinomial, nu_int, nu_rat, partitions, poly_text
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -102,7 +102,9 @@ def _beta(args) -> None:
                      sort_keys=True))
 
 
-def _sweep(args) -> None:
+def _sweep(args) -> int | None:
+    if min(args.sweep) < 1 or args.l < 1:
+        return _usage("asym --sweep: every n and l must be >= 1")
     print("n,l,exact,estimate,ratio,log_error")
     for n in args.sweep:
         print(f"... n={n}", file=sys.stderr)
@@ -165,7 +167,12 @@ def _suite_cauchy(max_n: int):
             return f"even alternating sum nonzero at m={m}"
         if partialsum.cauchy_alternating_sum(2 * m + 1) != involution.double_factorial_odd(m):
             return f"odd alternating sum mismatch at m={m}"
-        if not partialsum.cauchy_even_identity_check(m):
+        # sum_j C(2m,2j) a(2j-1) = sum_j C(2m,2j-1) a(2j-2), j = 1..m, each read ascending
+        evens = sum(binomial(2 * m, 2 * j) * partialsum.partial_sum(2 * j - 1)
+                    for j in range(1, m + 1))
+        odds = sum(binomial(2 * m, 2 * j - 1) * partialsum.partial_sum(2 * j - 2)
+                   for j in range(1, m + 1))
+        if evens != odds:
             return f"even identity fails at m={m}"
     return None
 
@@ -235,18 +242,23 @@ def _suite_nu3(max_n: int):
 
 
 def _suite_congruence(max_n: int):
+    # C(pn; p lam) = C(n; lam) mod p^2, and mod p^3 when p >= 5
     for p in (3, 5, 7):
+        modulus = p**2 if p == 3 else p**3
         for n in range(1, max_n + 1):
             for lam in partitions(n):
-                if not valuation.multinomial_congruence_check(p, n, lam):
+                if (multinomial(p * n, tuple(p * k for k in lam)) - multinomial(n, lam)) % modulus:
                     return f"congruence fails at p={p}, lambda={lam}"
     return None
 
 
 def _suite_hermite(max_n: int):
+    # He's own recurrence He(n+1) = t He(n) - n He(n-1), He(-1) = 0, He(0) = 1
+    lower, he = [], [1]
     for n in range(max_n + 1):
-        if not involution.hermite_relation_check(n):
+        if involution.hermite_poly(n) != he:
             return f"Hermite relation fails at n={n}"
+        lower, he = he, [a - n * b for a, b in zip([0] + he, lower + [0, 0])]
     return None
 
 
@@ -284,18 +296,35 @@ def _suite_toeplitz(max_n: int):
 
 
 def _suite_egf(max_n: int):
-    if not series.involution_egf_check(max_n):
-        return "involution EGF mismatch"
-    if not series.partial_sum_egf_check(max_n):
-        return "partial sum EGF mismatch"
+    # the EGFs of I(n) and a(n): f = exp(x + x^2/2), and f + e^x * integral of exp(t^2/2)
+    f = series.involution_egf(max_n)
+    half_square = series.TruncatedEGF.x_power(2, max_n - 1, Fraction(1, 2))
+    integral = series.series_integrate(series.series_exp(half_square))
+    sums = f + series.series_mul(series.exp_x(max_n), integral)
+    for n in range(max_n + 1):
+        if f.egf_coefficient(n) != involution.involution_number(n):
+            return f"involution EGF mismatch at n={n}"
+        if sums.egf_coefficient(n) != partialsum.partial_sum(n):
+            return f"partial sum EGF mismatch at n={n}"
+    # exp(x + ... + x^l/l) is the EGF of d(n, l); the lemma's transform sums them
     for l in range(2, 6):
-        f = series.series_exp(series.cycle_egf_exponent(l, 25))
+        g = series.series_exp(series.cycle_egf_exponent(l, 25))
+        g_sums = series.partial_sum_transform(g)
+        total = 0
         for n in range(26):
-            if f.egf_coefficient(n) != cyclecount.restricted_count(n, l):
+            d = cyclecount.restricted_count(n, l)
+            if g.egf_coefficient(n) != d:
                 return f"restricted EGF mismatch at (n={n}, l={l})"
+            total += d
+            if g_sums.egf_coefficient(n) != total:
+                return f"partial sum lemma fails at (n={n}, l={l})"
+    # d^m/dx^m f = f * sum_k C(m,k) I(m-k) x^k, through order max_n - m
+    derivative = f
     for m in range(7):
-        if not series.umbral_derivative_check(m, max_n):
+        umbral = series.TruncatedEGF(involution.umbral_derivative_coeffs(m), max_n)
+        if series.series_mul(f, umbral).truncate(max_n - m) != derivative:
             return f"umbral identity fails at m={m}"
+        derivative = series.series_derive(derivative)
     return None
 
 

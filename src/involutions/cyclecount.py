@@ -122,10 +122,30 @@ def _cycle_index_steps(l: int):
         window.appendleft(CycleIndexPoly(l, terms))
 
 
+CYCLE_INDEX_BUDGET = 2 * 10**5  # terms of g(0..n); (40, 40) has 215k: about 2 s and 115 MB
+
+
+def _terms_upto(n: int, l: int) -> int:
+    """The terms of g(0), ..., g(n): one per partition of each m <= n into parts <= l."""
+    ways = [1] * (n + 1)  # partitions of m into parts <= part
+    for part in range(2, min(l, n) + 1):
+        for m in range(part, n + 1):
+            ways[m] += ways[m - part]
+    return sum(ways)
+
+
 def cycle_index_poly(n: int, l: int) -> CycleIndexPoly:
-    """Cycle-index polynomial g(n) of the permutations with cycles <= l."""
+    """Cycle-index polynomial g(n) of the permutations with cycles <= l.
+
+    Refused past CYCLE_INDEX_BUDGET terms of g(0..n), counted before any work;
+    there are at least n + 1, and (n//2 + 1)^2 when l >= 2, so a large n is
+    refused uncounted.
+    """
     if n < 0 or l < 1:
         raise ValueError("requires n >= 0 and l >= 1")
+    if (max(n + 1, (n // 2 + 1) ** 2 if l > 1 else 0) > CYCLE_INDEX_BUDGET
+            or _terms_upto(n, l) > CYCLE_INDEX_BUDGET):
+        raise ValueError(f"n = {n}, l = {l} exceeds the cycle-index budget {CYCLE_INDEX_BUDGET}")
     return next(islice(cycle_index_polys(l), n, None))
 
 

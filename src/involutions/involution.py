@@ -68,6 +68,8 @@ def involution_terms(n: int):
     2-cycles.  It is carried from term to term by its exact integer ratio
     t(j+1) = t(j) (n-2j)(n-2j-1) / (2j+2).
     """
+    if n < 0:
+        raise ValueError("requires n >= 0")
     t = 1
     for j in range(n // 2 + 1):
         yield t
@@ -86,6 +88,8 @@ def double_factorial_odd(j: int) -> int:
 
 def involution_number_bisplit(n: int, m: int) -> int:
     """sum_k k! C(n,k) C(m,k) I(n-k) I(m-k); equals involution_number(n+m)."""
+    if n < 0 or m < 0:
+        raise ValueError("requires n >= 0 and m >= 0")
     values = list(islice(involution_numbers(), max(n, m) + 1))
     total = 0
     weight = 1  # k! C(n,k) C(m,k), carried by its ratio (n-k)(m-k)/(k+1)
@@ -128,26 +132,13 @@ def hermite_poly(n: int) -> list[int]:
     return coeffs
 
 
-def hermite_relation_check(n: int) -> bool:
-    """Involution and Hermite polynomials agree up to alternating signs.
-
-    `hermite_poly(n)` is the involution polynomial with the coefficient of
-    t^(n-2j) times (-1)^j (the real form of the i^n H(-it) relation; no
-    complex arithmetic needed).  It is the Hermite polynomial exactly when
-    it satisfies He's own recurrence He(n) = t He(n-1) - (n-1) He(n-2),
-    He(0) = 1, He(1) = t, which is checked at n.
-    """
-    if n < 2:
-        return hermite_poly(n) == [0] * n + [1]
-    higher, lower = hermite_poly(n - 1), hermite_poly(n - 2)
-    return hermite_poly(n) == [a + (1 - n) * b for a, b in zip([0] + higher, lower + [0, 0])]
-
-
 def umbral_derivative_coeffs(m: int) -> list[int]:
     """Polynomial P with d^m/dx^m exp(x + x^2/2) = exp(x + x^2/2) P(x).
 
     P(x) = sum_k C(m,k) I(m-k) x^k.
     """
+    if m < 0:
+        raise ValueError("requires m >= 0")
     values = list(islice(involution_numbers(), m + 1))
     return [binomial(m, k) * values[m - k] for k in range(m + 1)]
 

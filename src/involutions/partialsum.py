@@ -31,6 +31,8 @@ def partial_sum_by_binomial(n: int) -> int:
     (2k-1)!! and C(n+1, 2k+1) are carried from term k to term k+1 by their
     exact integer ratios 2k+1 and (n-2k)(n-2k-1) / ((2k+2)(2k+3)).
     """
+    if n < 0:
+        raise ValueError("requires n >= 0")
     total = 0
     odd, c = 1, n + 1
     for k in range(n // 2 + 1):
@@ -51,17 +53,6 @@ def cauchy_alternating_sum(n: int) -> int:
     for k in range(1, n + 1):
         total += (-1) ** (n - k) * binomial(n, k) * partial_sum(k - 1)
     return total
-
-
-def cauchy_even_identity_check(m: int) -> bool:
-    """sum_j C(2m,2j) a(2j-1) == sum_j C(2m,2j-1) a(2j-2)."""
-    if m < 1:
-        raise ValueError("requires m >= 1")
-    lhs = sum(binomial(2 * m, 2 * j) * partial_sum(2 * j - 1) for j in range(1, m + 1))
-    rhs = sum(
-        binomial(2 * m, 2 * j - 1) * partial_sum(2 * j - 2) for j in range(1, m + 1)
-    )
-    return lhs == rhs
 
 
 def F_sum(alpha: int, beta: int, k: int) -> int:

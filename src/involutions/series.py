@@ -15,8 +15,6 @@ from itertools import accumulate
 from operator import mul
 
 from .exactnum import factorial
-from .involution import involution_number, umbral_derivative_coeffs
-from .partialsum import partial_sum
 
 
 class TruncatedEGF:
@@ -51,8 +49,8 @@ class TruncatedEGF:
         return cls(coeffs, order)
 
     def coefficient(self, n: int) -> Fraction:
-        if n > self.order:
-            raise IndexError(f"coefficient {n} beyond truncation order {self.order}")
+        if not 0 <= n <= self.order:
+            raise IndexError(f"coefficient {n} outside the truncation 0..{self.order}")
         return self.coeffs[n]
 
     def egf_coefficient(self, n: int) -> Fraction:
@@ -166,51 +164,13 @@ def exp_x(order: int) -> TruncatedEGF:
     return series_exp(TruncatedEGF.x_power(1, order))
 
 
-def partial_sum_egf_check(order: int) -> bool:
-    """EGF of the partial sums: exp(x+x^2/2) + exp(x) * integral of exp(t^2/2)."""
-    if order < 3:
-        raise ValueError("requires order >= 3")
-    half_square = TruncatedEGF.x_power(2, order - 1, Fraction(1, 2))
-    integral = series_integrate(series_exp(half_square))
-    rhs = involution_egf(order) + series_mul(exp_x(order), integral)
-    return all(
-        rhs.egf_coefficient(n) == partial_sum(n) for n in range(order + 1)
-    )
-
-
 def partial_sum_transform(w: TruncatedEGF) -> TruncatedEGF:
-    """w(x) + e^x * integral_0^x e^(-t) w(t) dt."""
+    """w(x) + e^x * integral_0^x e^(-t) w(t) dt.
+
+    By the paper's lemma, its n-th EGF coefficient is the sum of the first
+    n + 1 EGF coefficients of w; the `egf` suite checks that.
+    """
     order = w.order
     em = series_exp(TruncatedEGF.x_power(1, order, -1))
     inner = series_integrate(series_mul(em, w)).truncate(order)
     return w + series_mul(exp_x(order), inner)
-
-
-def lemma_partial_sums_check(w: TruncatedEGF) -> bool:
-    """The transform above turns EGF coefficients into their partial sums."""
-    order = w.order
-    if order < 2:
-        raise ValueError("requires order >= 2")
-    g = partial_sum_transform(w)
-    running = Fraction(0)
-    for n in range(order + 1):
-        running += w.egf_coefficient(n)
-        if g.egf_coefficient(n) != running:
-            return False
-    return True
-
-
-def umbral_derivative_check(m: int, order: int = 30) -> bool:
-    """m-th derivative of exp(x+x^2/2) equals exp(x+x^2/2) times the
-    umbral coefficient polynomial, through order-m terms."""
-    f = involution_egf(order)
-    deriv = f
-    for _ in range(m):
-        deriv = series_derive(deriv)
-    poly_series = TruncatedEGF(umbral_derivative_coeffs(m), order)
-    return series_mul(f, poly_series).truncate(order - m) == deriv
-
-
-def involution_egf_check(order: int = 30) -> bool:
-    f = involution_egf(order)
-    return all(f.egf_coefficient(n) == involution_number(n) for n in range(order + 1))

@@ -2,8 +2,8 @@
 
 Covers the closed-form 2-adic valuations, prime efficiency classification,
 periodicity mod p^r, the residue-class valuation tree for inefficient primes,
-the single-non-terminal-vertex conjecture checker, the observed 3-adic pattern
-of the partial sums, and the multinomial congruences.
+the single-non-terminal-vertex conjecture checker and the observed 3-adic
+pattern of the partial sums.
 """
 
 from __future__ import annotations
@@ -13,13 +13,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate, islice, tee
 from operator import eq
 
-from .exactnum import (
-    as_partition,
-    is_prime,
-    multinomial,
-    nu_int,
-    primes_upto,
-)
+from .exactnum import is_prime, nu_int, primes_upto
 from .involution import involution_numbers
 
 
@@ -350,23 +344,4 @@ def nu3_partial_sum_pattern_check(n_max: int) -> bool:
         residue = total % modulus
         if residue == 0 or nu_int(residue, 3) != nu3_partial_sum(n):
             return False
-    return True
-
-
-def multinomial_congruence_check(p: int, n: int, lam) -> bool:
-    """Multinomial coefficient congruence under scaling by a prime p >= 3.
-
-    C(pn; p*lam) == C(n; lam) mod p^2, and additionally mod p^3 when p >= 5.
-    """
-    if p < 3 or not is_prime(p):
-        raise ValueError(f"{p} is not a prime >= 3")
-    lam = as_partition(lam)
-    if sum(lam) != n:
-        raise ValueError(f"partition {lam} does not sum to {n}")
-    big = multinomial(p * n, tuple(p * part for part in lam))
-    small = multinomial(n, lam)
-    if (big - small) % p**2 != 0:
-        return False
-    if p >= 5 and (big - small) % p**3 != 0:
-        return False
     return True

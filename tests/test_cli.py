@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from involutions import cli, valuation
+from involutions import cli
 from involutions.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, SUITES, build_parser, run
 from involutions.exactnum import poly_text
 from involutions.involution import hermite_poly, involution_number
@@ -442,8 +442,8 @@ def test_verify_rejects_a_max_it_cannot_honour(argv, capsys, monkeypatch):
 def test_verify_honours_max(suite, max_n, capsys, monkeypatch):
     # the checks read their bound through these two functions
     seen = []
-    monkeypatch.setattr(valuation, "multinomial_congruence_check",
-                        lambda p, n, lam: seen.append(n) or True)
+    partitions = cli.partitions
+    monkeypatch.setattr(cli, "partitions", lambda n: seen.append(n) or partitions(n))
     monkeypatch.setattr("involutions.involution.involution_number",
                         lambda n: seen.append(n) or involution_number(n))
     assert run(["verify", "--suite", suite, "--max", str(max_n)]) == EXIT_OK
@@ -467,6 +467,20 @@ def test_verify_exit_codes_defined():
 def test_error_maps_to_usage_exit(capsys):
     assert run(["invol", "--n", "-1"]) == EXIT_USAGE
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["invol", "--n", "-1", "--poly"],
+    ["asym", "--sweep", "0"],
+    ["asym", "--sweep", "50", "-3"],
+    ["asym", "--sweep", "50", "--l", "0"],
+    ["restricted", "--n", "200", "--l", "200", "--cycle-index"],
+    ["restricted", "--n", "1000", "--l", "3", "--cycle-index", "--format", "json"],
+], ids=lambda argv: "-".join(a.lstrip("-") for a in argv))
+def test_input_refused_before_any_output(argv, capsys):
+    assert run(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
 
 
 def test_bad_flag_returns_usage(capsys):

@@ -5,9 +5,12 @@ from math import factorial, prod
 
 import pytest
 
+from involutions import cyclecount
 from involutions.cyclecount import (
+    CYCLE_INDEX_BUDGET,
     CycleIndexPoly,
     _poly_mul,
+    _terms_upto,
     cycle_index_poly,
     cycle_index_polys,
     restricted_count,
@@ -172,6 +175,36 @@ def test_cycle_index_entry_points_raise_when_called():
         cycle_index_polys(0)
     with pytest.raises(ValueError):
         cycle_index_poly(-1, 2)
+
+
+def test_terms_upto_counts_the_terms_built():
+    for l in range(1, 7):
+        built = 0
+        for n, poly in enumerate(islice(cycle_index_polys(l), 21)):
+            built += len(poly.terms)
+            assert _terms_upto(n, l) == built, (n, l)
+    # the largest cycle index the exact-tables benchmark builds is well inside
+    assert max(_terms_upto(n, l) for n in range(31) for l in range(1, 9)) == 15226
+
+
+@pytest.mark.parametrize("n, l", [(40, 40), (45, 45), (200, 200), (1000, 3), (893, 2),
+                                  (CYCLE_INDEX_BUDGET, 1), (10**12, 1), (10**12, 10**12)])
+def test_cycle_index_budget_refuses_before_any_work(n, l, monkeypatch):
+    def no_polys(l):
+        raise AssertionError(f"cycle index polynomials built for l={l}")
+    monkeypatch.setattr(cyclecount, "cycle_index_polys", no_polys)
+    with pytest.raises(ValueError, match=f"cycle-index budget {CYCLE_INDEX_BUDGET}$"):
+        cycle_index_poly(n, l)
+
+
+@pytest.mark.parametrize("n, l", [(39, 39), (892, 2), (CYCLE_INDEX_BUDGET - 1, 1)])
+def test_cycle_index_budget_admits_the_largest_inside(n, l, monkeypatch):
+    def no_polys(l):
+        raise AssertionError("built")
+    monkeypatch.setattr(cyclecount, "cycle_index_polys", no_polys)
+    assert _terms_upto(n, l) <= CYCLE_INDEX_BUDGET
+    with pytest.raises(AssertionError, match="built"):
+        cycle_index_poly(n, l)
 
 
 def test_statistic_lookup_examples():

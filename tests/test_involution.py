@@ -19,9 +19,11 @@ from involutions.involution import (
     involution_numbers,
     involution_poly,
     involution_poly_by_recurrence,
+    involution_terms,
     perfect_matchings,
     umbral_derivative_coeffs,
 )
+from involutions.partialsum import partial_sum_by_binomial
 
 KNOWN_TABLE = [1, 1, 2, 4, 10, 26, 76, 232, 764, 2620, 9496]
 
@@ -216,6 +218,21 @@ def test_hermite_suite_catches_a_corrupt_involution_term(monkeypatch):
     monkeypatch.setattr(involution, "involution_terms", corrupt)
     check, bound = SUITES["hermite"]
     assert check(bound) == "Hermite relation fails at n=7"
+
+
+@pytest.mark.parametrize("call", [
+    lambda: list(involution_terms(-1)),
+    lambda: involution_poly(-1),
+    lambda: hermite_poly(-2),
+    lambda: involution_number_by_sum(-1),
+    lambda: partial_sum_by_binomial(-3),
+    lambda: involution_number_bisplit(-1, 3),
+    lambda: involution_number_bisplit(3, -1),
+    lambda: umbral_derivative_coeffs(-1),
+], ids=["terms", "poly", "hermite", "by_sum", "by_binomial", "bisplit_n", "bisplit_m", "umbral"])
+def test_negative_n_is_refused_not_read_as_an_empty_sum(call):
+    with pytest.raises(ValueError, match=r"^requires [nm] >= 0"):
+        call()
 
 
 def test_umbral_examples():

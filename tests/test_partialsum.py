@@ -4,7 +4,8 @@ from itertools import count, islice
 
 import pytest
 
-from involutions.cli import _EXACT
+from involutions import partialsum
+from involutions.cli import _EXACT, SUITES
 from involutions.exactnum import binomial
 from involutions.involution import double_factorial_odd, involution_number
 from involutions.partialsum import (
@@ -75,6 +76,17 @@ def test_cauchy_alternating_sum_examples():
     assert cauchy_alternating_sum(3) == 1
     assert cauchy_alternating_sum(2) == 0
     assert cauchy_alternating_sum(5) == 3
+
+
+def test_cauchy_suite_catches_a_wrong_partial_sum(monkeypatch):
+    # the alternating sums read as the paper states them, so only the even
+    # identity, whose sums read a(4) and a(5) from m = 3 on, sees a wrong a(5)
+    right = partialsum.partial_sum
+    monkeypatch.setattr(partialsum, "partial_sum", lambda n: right(n) + (n == 5))
+    monkeypatch.setattr(partialsum, "cauchy_alternating_sum",
+                        lambda n: double_factorial_odd(n // 2) if n % 2 else 0)
+    check, bound = SUITES["cauchy"]
+    assert check(bound) == "even identity fails at m=3"
 
 
 def test_f_sum_examples():

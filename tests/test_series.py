@@ -3,23 +3,21 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from involutions import involution, partialsum
+from involutions.cli import SUITES
 from involutions.cyclecount import restricted_count
-from involutions.involution import involution_number
+from involutions.involution import involution_number, umbral_derivative_coeffs
 from involutions.partialsum import partial_sum
 from involutions.series import (
     TruncatedEGF,
     cycle_egf_exponent,
     exp_x,
     involution_egf,
-    involution_egf_check,
-    lemma_partial_sums_check,
-    partial_sum_egf_check,
     partial_sum_transform,
     series_derive,
     series_exp,
     series_integrate,
     series_mul,
-    umbral_derivative_check,
 )
 
 small_fractions = st.fractions(
@@ -65,6 +63,8 @@ def test_truncated_egf_basics():
     assert f.egf_coefficient(2) == 6
     with pytest.raises(IndexError):
         f.coefficient(3)
+    with pytest.raises(IndexError):
+        f.coefficient(-1)  # not the top coefficient, as a list index would give
     with pytest.raises(ValueError):
         f.truncate(5)
     assert f.truncate(1) == TruncatedEGF([1, 2])
@@ -165,18 +165,20 @@ def test_cycle_egf_exponent():
 
 
 def test_involution_egf_values():
-    f = involution_egf(25)
+    f = involution_egf(30)
     assert f.egf_coefficient(0) == 1
     assert f.egf_coefficient(10) == 9496
-    assert involution_egf_check(30)
-    for n in range(26):
+    for n in range(31):
         assert f.egf_coefficient(n) == involution_number(n)
 
 
 def test_partial_sum_egf_identity():
-    assert partial_sum_egf_check(20)
-    with pytest.raises(ValueError):
-        partial_sum_egf_check(2)
+    # exp(x + x^2/2) + e^x * integral of exp(t^2/2) is the EGF of a(n)
+    integral = series_integrate(series_exp(TruncatedEGF.x_power(2, 19, Fraction(1, 2))))
+    g = involution_egf(20) + series_mul(exp_x(20), integral)
+    assert g.order == 20
+    for n in range(21):
+        assert g.egf_coefficient(n) == partial_sum(n)
 
 
 def test_partial_sum_transform_on_involutions():
@@ -188,7 +190,12 @@ def test_partial_sum_transform_on_involutions():
 @settings(max_examples=40, deadline=None)
 @given(series(8))
 def test_lemma_partial_sums_any_series(w):
-    assert lemma_partial_sums_check(w)
+    g = partial_sum_transform(w)
+    assert g.order == w.order
+    running = 0
+    for n in range(w.order + 1):
+        running += w.egf_coefficient(n)
+        assert g.egf_coefficient(n) == running
 
 
 def test_restricted_egf_coefficients():
@@ -198,5 +205,44 @@ def test_restricted_egf_coefficients():
 
 
 def test_umbral_derivative_identity():
+    # d^m/dx^m exp(x + x^2/2) = exp(x + x^2/2) * sum_k C(m,k) I(m-k) x^k;
+    # the egf suite checks m < 7
+    f = involution_egf(30)
     for m in (0, 1, 2, 3, 5, 8):
-        assert umbral_derivative_check(m)
+        derivative = f
+        for _ in range(m):
+            derivative = series_derive(derivative)
+        umbral = TruncatedEGF(umbral_derivative_coeffs(m), 30)
+        assert series_mul(f, umbral).truncate(30 - m) == derivative
+
+
+def test_egf_suite_catches_a_wrong_partial_sum(monkeypatch):
+    right = partialsum.partial_sum
+    monkeypatch.setattr(partialsum, "partial_sum", lambda n: right(n) + (n == 17))
+    check, bound = SUITES["egf"]
+    assert check(bound) == "partial sum EGF mismatch at n=17"
+
+
+def test_egf_suite_catches_a_wrong_umbral_polynomial(monkeypatch):
+    right = involution.umbral_derivative_coeffs
+
+    def wrong(m):
+        coeffs = right(m)
+        if m == 4:
+            coeffs[2] += 1
+        return coeffs
+
+    monkeypatch.setattr(involution, "umbral_derivative_coeffs", wrong)
+    check, bound = SUITES["egf"]
+    assert check(bound) == "umbral identity fails at m=4"
+
+
+def test_egf_suite_catches_a_wrong_partial_sum_transform(monkeypatch):
+    def wrong(w):
+        g = partial_sum_transform(w)
+        g.coeffs[12] += 1
+        return g
+
+    monkeypatch.setattr("involutions.series.partial_sum_transform", wrong)
+    check, bound = SUITES["egf"]
+    assert check(bound) == "partial sum lemma fails at (n=12, l=2)"

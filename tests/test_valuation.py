@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from involutions import valuation
-from involutions.exactnum import nu_int, primes_upto
+from involutions import cli, valuation
+from involutions.exactnum import multinomial, nu_int, primes_upto
 from involutions.involution import involution_number
 from involutions.partialsum import partial_sum
 from involutions.valuation import (
@@ -13,7 +13,6 @@ from involutions.valuation import (
     inefficient_primes_upto,
     involution_mod_sequence,
     is_efficient,
-    multinomial_congruence_check,
     nu2_involution,
     nu2_partial_sum,
     nu3_partial_sum,
@@ -369,6 +368,14 @@ def test_nu3_observed_pattern_values():
 
 
 def test_multinomial_congruence_examples():
-    assert multinomial_congruence_check(3, 2, (1, 1))
-    assert multinomial_congruence_check(5, 2, (1, 1))
-    assert multinomial_congruence_check(3, 1, (1,))
+    # C(pn; p lam) - C(n; lam): 20 - 2 = 2 * 3^2 and 252 - 2 = 2 * 5^3
+    assert multinomial(6, (3, 3)) - multinomial(2, (1, 1)) == 2 * 3**2
+    assert multinomial(10, (5, 5)) - multinomial(2, (1, 1)) == 2 * 5**3
+    assert multinomial(3, (3,)) - multinomial(1, (1,)) == 0
+
+
+def test_congruence_suite_catches_a_wrong_multinomial(monkeypatch):
+    monkeypatch.setattr(cli, "multinomial",
+                        lambda n, lam: multinomial(n, lam) + ((n, lam) == (4, (2, 1, 1))))
+    check, bound = cli.SUITES["congruence"]
+    assert check(bound) == "congruence fails at p=3, lambda=(2, 1, 1)"
