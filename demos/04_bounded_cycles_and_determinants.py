@@ -15,7 +15,7 @@ from involutions import (
     restricted_count,
     toeplitz_determinant,
 )
-from involutions.oracle import census_restricted_count
+from involutions.oracle import census_cycle_index_terms
 
 print("d(n, l) for n <= 8:")
 header = "  n: " + "".join(f"  l={l:<6d}" for l in range(1, 6))
@@ -42,6 +42,6 @@ print("Exhaustive enumeration over 8! permutations agrees:")
 census = enumerate_census(8)
 for l in (2, 3, 4):
     print(
-        f"  l={l}: census {census_restricted_count(census, l)}, "
+        f"  l={l}: census {sum(census_cycle_index_terms(census, l).values())}, "
         f"recurrence {restricted_count(8, l)}"
     )

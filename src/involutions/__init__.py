@@ -48,7 +48,6 @@ from .cyclecount import (
     cycle_index_poly,
     cycle_index_polys,
     restricted_count,
-    statistic_lookup,
     toeplitz_determinant,
 )
 from .series import (
@@ -108,7 +107,6 @@ __all__ = [
     "cycle_index_poly",
     "cycle_index_polys",
     "restricted_count",
-    "statistic_lookup",
     "toeplitz_determinant",
     "TruncatedEGF",
     "involution_egf",

@@ -7,7 +7,7 @@ import json
 from collections import deque
 from itertools import count, islice
 
-from .exactnum import as_partition, poly_text
+from .exactnum import poly_text
 
 
 def _grade(exponents: tuple[int, ...]) -> int:
@@ -31,9 +31,6 @@ class CycleIndexPoly:
             for exps, coeff in terms.items():
                 if coeff != 0:
                     self.terms[tuple(exps)] = coeff
-
-    def coefficient(self, exponents) -> int:
-        return self.terms.get(tuple(exponents), 0)
 
     def sum_of_coefficients(self) -> int:
         return sum(self.terms.values())
@@ -149,24 +146,6 @@ def cycle_index_poly(n: int, l: int) -> CycleIndexPoly:
     return next(islice(cycle_index_polys(l), n, None))
 
 
-def statistic_lookup(n: int, l: int, cycle_type) -> int:
-    """Number of permutations with the given cycle type (all parts <= l).
-
-    Reads the coefficient off the cycle-index polynomial; the classical
-    formula n!/prod(t^et * et!), oracle.cycle_type_count, is the independent
-    cross-check in the test suite.
-    """
-    lam = as_partition(cycle_type)
-    if sum(lam) != n:
-        raise ValueError(f"cycle type {lam} does not partition {n}")
-    if lam and lam[0] > l:
-        raise ValueError(f"cycle type {lam} has a part exceeding l={l}")
-    exps = [0] * l
-    for part in lam:
-        exps[part - 1] += 1
-    return cycle_index_poly(n, l).coefficient(tuple(exps))
-
-
 TOEPLITZ_MAX_N = 12  # cofactor expansion is a verification path, not an engine
 
 
@@ -211,37 +190,42 @@ def _poly_mul(a: dict, b: dict) -> dict:
     return out
 
 
-def _det_cofactor(matrix: list[list[dict]], l: int) -> dict[tuple[int, ...], int]:
-    """Cofactor expansion along the first row, skipping zero entries.
+def _det_hessenberg(matrix: list[list[dict]], l: int) -> dict[tuple[int, ...], int]:
+    """Determinant of an upper Hessenberg matrix, over its trailing minors.
 
-    The minor left after the top rows are expanded is fixed by the columns
-    it keeps, so each one is expanded once and looked up after that.
+    Expand det(rows and columns k..n-1) along its first row.  Deleting
+    column k + c leaves a block-triangular minor: the subdiagonal entries of
+    rows k+1..k+c, times the trailing block from row k + c + 1.  So
+
+        det(k) = sum_c (-1)^c h(k, k+c) * prod subdiagonal * det(k + c + 1),
+
+    filled in from det(n) = 1 up, each trailing determinant once.
     """
-    minors: dict[tuple[int, ...], dict] = {(): {(0,) * l: 1}}
-
-    def det(cols: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-        if cols in minors:
-            return minors[cols]
-        row = matrix[len(matrix) - len(cols)]
+    n = len(matrix)
+    one = {(0,) * l: 1}
+    trailing = [one] * (n + 1)  # trailing[k] = det(rows and columns k..n-1)
+    for k in range(n - 1, -1, -1):
         total: dict[tuple[int, ...], int] = {}
-        for i, col in enumerate(cols):
-            if not row[col]:
-                continue
-            sign = -1 if i % 2 else 1
-            for exps, coeff in _poly_mul(row[col], det(cols[:i] + cols[i + 1 :])).items():
-                total[exps] = total.get(exps, 0) + sign * coeff
-        minors[cols] = {exps: coeff for exps, coeff in total.items() if coeff}
-        return minors[cols]
-
-    return det(tuple(range(len(matrix))))
+        cofactor = one  # (-1)^c times the subdiagonal entries of rows k+1..k+c
+        for c in range(n - k):
+            if matrix[k][k + c]:
+                term = _poly_mul(_poly_mul(matrix[k][k + c], cofactor), trailing[k + c + 1])
+                for exps, coeff in term.items():
+                    total[exps] = total.get(exps, 0) + coeff
+            if k + c + 1 < n:
+                cofactor = _poly_mul(cofactor, {exps: -coeff for exps, coeff
+                                                in matrix[k + c + 1][k + c].items()})
+        trailing[k] = {exps: coeff for exps, coeff in total.items() if coeff}
+    return trailing[0]
 
 
 def toeplitz_determinant(n: int, l: int) -> CycleIndexPoly:
     """det of the banded Toeplitz matrix, a verification path for n <= 12.
 
     Expands the real form of the matrix (see toeplitz_matrix), whose
-    determinant equals that of the paper's Gaussian-integer form.
+    determinant equals that of the paper's Gaussian-integer form, over its
+    trailing minors.
     """
     if n > TOEPLITZ_MAX_N:
         raise ValueError(f"n={n} exceeds the verification bound {TOEPLITZ_MAX_N}")
-    return CycleIndexPoly(l, _det_cofactor(toeplitz_matrix(n, l), l))
+    return CycleIndexPoly(l, _det_hessenberg(toeplitz_matrix(n, l), l))

@@ -111,16 +111,6 @@ def involution_poly(n: int) -> list[int]:
     return coeffs
 
 
-def involution_poly_by_recurrence(n: int) -> list[int]:
-    """Same polynomial from P(n) = t P(n-1) + (n-1) P(n-2), P(0)=1, P(1)=t."""
-    if n == 0:
-        return [1]
-    prev, cur = [1], [0, 1]
-    for m in range(2, n + 1):
-        prev, cur = cur, [a + (m - 1) * b for a, b in zip([0] + cur, prev + [0, 0])]
-    return cur
-
-
 def hermite_poly(n: int) -> list[int]:
     """Probabilistic Hermite polynomial; integer coefficients.
 
@@ -141,10 +131,3 @@ def umbral_derivative_coeffs(m: int) -> list[int]:
         raise ValueError("requires m >= 0")
     values = list(islice(involution_numbers(), m + 1))
     return [binomial(m, k) * values[m - k] for k in range(m + 1)]
-
-
-def perfect_matchings(n: int) -> int:
-    """(n-1)!! for even n, 0 for odd n: involutions without fixed points."""
-    if n % 2 == 1:
-        return 0
-    return double_factorial_odd(n // 2)

@@ -90,31 +90,6 @@ def partition_census(n: int) -> CycleCensus:
     return CycleCensus(n, {lam: cycle_type_count(n, lam) for lam in partitions(n)})
 
 
-def census_involution_count(census: CycleCensus) -> int:
-    """Permutations whose cycles all have length <= 2."""
-    return census_restricted_count(census, 2)
-
-
-def census_restricted_count(census: CycleCensus, l: int) -> int:
-    """Permutations whose cycles all have length <= l."""
-    return sum(
-        count
-        for lam, count in census.counts.items()
-        if not lam or lam[0] <= l
-    )
-
-
-def census_fixed_point_poly(census: CycleCensus) -> list[int]:
-    """Generating polynomial sum t^(number of fixed points) over involutions."""
-    coeffs = [0] * (census.n + 1)
-    for lam, count in census.counts.items():
-        if lam and lam[0] > 2:
-            continue
-        fixed = sum(1 for part in lam if part == 1)
-        coeffs[fixed] += count
-    return coeffs
-
-
 def census_cycle_index_terms(census: CycleCensus, l: int) -> dict[tuple[int, ...], int]:
     """Exponent-vector keyed counts over cycle types with all parts <= l."""
     terms: dict[tuple[int, ...], int] = {}

@@ -14,7 +14,6 @@ from involutions.cyclecount import (
     cycle_index_poly,
     cycle_index_polys,
     restricted_count,
-    statistic_lookup,
     toeplitz_determinant,
     toeplitz_matrix,
 )
@@ -122,8 +121,8 @@ def test_toeplitz_bound():
         toeplitz_determinant(13, 3)
 
 
-def _det_cofactor_unmemoized(matrix, l):
-    """The expansion before minors were memoized: each one expanded anew."""
+def _det_cofactor_full(matrix, l):
+    """Cofactor expansion along the first row, each minor expanded anew."""
     if not matrix:
         return {(0,) * l: 1}
     total = {}
@@ -132,15 +131,15 @@ def _det_cofactor_unmemoized(matrix, l):
             continue
         minor = [row[:col] + row[col + 1 :] for row in matrix[1:]]
         sign = -1 if col % 2 else 1
-        for exps, coeff in _poly_mul(entry, _det_cofactor_unmemoized(minor, l)).items():
+        for exps, coeff in _poly_mul(entry, _det_cofactor_full(minor, l)).items():
             total[exps] = total.get(exps, 0) + sign * coeff
     return {exps: coeff for exps, coeff in total.items() if coeff}
 
 
-def test_memoized_expansion_equals_the_unmemoized_one():
+def test_trailing_minor_expansion_equals_the_full_cofactor_one():
     for n in range(9):
         for l in range(1, max(n, 1) + 1):
-            expected = CycleIndexPoly(l, _det_cofactor_unmemoized(toeplitz_matrix(n, l), l))
+            expected = CycleIndexPoly(l, _det_cofactor_full(toeplitz_matrix(n, l), l))
             assert toeplitz_determinant(n, l) == expected, (n, l)
 
 
@@ -207,19 +206,14 @@ def test_cycle_index_budget_admits_the_largest_inside(n, l, monkeypatch):
         cycle_index_poly(n, l)
 
 
-def test_statistic_lookup_examples():
-    assert statistic_lookup(5, 4, (3, 2)) == 20
-    assert statistic_lookup(5, 4, (1, 1, 1, 1, 1)) == 1
-    assert statistic_lookup(5, 4, (4, 1)) == 30
-    with pytest.raises(ValueError):
-        statistic_lookup(5, 4, (5,))
-
-
 def test_statistic_matches_counting_formula():
+    # each coefficient of g(n) counts one cycle type, as n!/prod(t^et * et!) does
     for n in range(1, 9):
         for lam in partitions(n):
-            l = lam[0]
-            assert statistic_lookup(n, l, lam) == cycle_type_count(n, lam)
+            exps = [0] * lam[0]
+            for part in lam:
+                exps[part - 1] += 1
+            assert cycle_index_poly(n, lam[0]).terms[tuple(exps)] == cycle_type_count(n, lam)
 
 
 def test_cycle_type_count_examples():

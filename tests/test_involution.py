@@ -18,9 +18,7 @@ from involutions.involution import (
     involution_number_by_sum,
     involution_numbers,
     involution_poly,
-    involution_poly_by_recurrence,
     involution_terms,
-    perfect_matchings,
     umbral_derivative_coeffs,
 )
 from involutions.partialsum import partial_sum_by_binomial
@@ -172,15 +170,18 @@ def test_involution_poly_examples():
 
 
 def test_involution_poly_matches_recurrence():
+    # P(n) = t P(n-1) + (n-1) P(n-2), P(0) = 1, P(1) = t
+    lower, poly = [], [1]
     for n in range(40):
-        assert involution_poly(n) == involution_poly_by_recurrence(n)
+        assert involution_poly(n) == poly
+        lower, poly = poly, [a + n * b for a, b in zip([0] + poly, lower + [0, 0])]
 
 
 def test_involution_poly_evaluations():
     for n in range(201):
         p = involution_poly(n)
         assert sum(p) == involution_number(n)
-        assert p[0] == perfect_matchings(n)
+        assert p[0] == (0 if n % 2 else double_factorial_odd(n // 2))
 
 
 def test_perfect_matchings_are_odd_double_factorials():
@@ -189,7 +190,6 @@ def test_perfect_matchings_are_odd_double_factorials():
         for j in range(1, n, 2):
             expected *= j
         assert involution_poly(n)[0] == expected
-        assert perfect_matchings(n) == expected
 
 
 def test_hermite_examples():
@@ -218,6 +218,26 @@ def test_hermite_suite_catches_a_corrupt_involution_term(monkeypatch):
     monkeypatch.setattr(involution, "involution_terms", corrupt)
     check, bound = SUITES["hermite"]
     assert check(bound) == "Hermite relation fails at n=7"
+
+
+@pytest.mark.parametrize("suite, k, counterexample", [
+    ("hermite", 3, "involution polynomial recurrence fails at n=7"),
+    ("cycle-index", 3, "fixed point polynomial mismatch at n=7"),
+    ("hermite", 0, "perfect matchings mismatch at n=7"),
+], ids=["hermite", "cycle-index", "hermite-constant-term"])
+def test_suites_catch_a_wrong_involution_poly_coefficient(suite, k, counterexample, monkeypatch):
+    # the coefficient of t^k in I(7; t); I(7; 0) = 0, as 7 points have no perfect matching
+    right = involution.involution_poly
+
+    def wrong(n):
+        coeffs = right(n)
+        if n == 7:
+            coeffs[k] += 1
+        return coeffs
+
+    monkeypatch.setattr(involution, "involution_poly", wrong)
+    check, bound = SUITES[suite]
+    assert check(bound) == counterexample
 
 
 @pytest.mark.parametrize("call", [

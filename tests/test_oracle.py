@@ -3,15 +3,13 @@ import json
 
 import pytest
 
-from involutions import oracle
-from involutions.cyclecount import cycle_index_poly, restricted_count
+from involutions import cyclecount, oracle
+from involutions.cli import SUITES
+from involutions.cyclecount import CycleIndexPoly, cycle_index_poly, restricted_count
 from involutions.exactnum import factorial
 from involutions.involution import involution_number, involution_poly
 from involutions.oracle import (
     census_cycle_index_terms,
-    census_fixed_point_poly,
-    census_involution_count,
-    census_restricted_count,
     cycle_type,
     enumerate_census,
     partition_census,
@@ -38,7 +36,7 @@ def test_enumeration_matches_formula():
 def test_partition_census_larger_n():
     census = partition_census(20)
     assert census.total() == factorial(20)
-    assert census_involution_count(census) == involution_number(20)
+    assert sum(census_cycle_index_terms(census, 2).values()) == involution_number(20)
 
 
 def test_partition_census_budget(monkeypatch):
@@ -59,19 +57,21 @@ def test_enumeration_cap():
 
 def test_census_involution_counts():
     for n in range(9):
-        assert census_involution_count(enumerate_census(n)) == involution_number(n)
+        terms = census_cycle_index_terms(enumerate_census(n), 2)
+        assert sum(terms.values()) == involution_number(n)
 
 
 def test_census_restricted_counts():
     for n in range(9):
         census = enumerate_census(n)
         for l in range(1, n + 2):
-            assert census_restricted_count(census, l) == restricted_count(n, l)
+            assert sum(census_cycle_index_terms(census, l).values()) == restricted_count(n, l)
 
 
 def test_census_fixed_point_poly():
     for n in range(9):
-        assert census_fixed_point_poly(enumerate_census(n)) == involution_poly(n)
+        terms = census_cycle_index_terms(enumerate_census(n), 2)
+        assert CycleIndexPoly(2, terms).substitute_y1() == involution_poly(n)
 
 
 def test_census_cycle_index_terms():
@@ -79,6 +79,36 @@ def test_census_cycle_index_terms():
         census = enumerate_census(n)
         for l in range(1, n + 2):
             assert census_cycle_index_terms(census, l) == cycle_index_poly(n, l).terms
+
+
+def test_oracle_suite_catches_a_wrong_census_term(monkeypatch):
+    right = oracle.census_cycle_index_terms
+
+    def wrong(census, l):
+        terms = right(census, l)
+        if (census.n, l) == (6, 3):
+            terms[(0, 0, 2)] += 1
+        return terms
+
+    monkeypatch.setattr(oracle, "census_cycle_index_terms", wrong)
+    check, bound = SUITES["oracle"]
+    assert check(bound) == "cycle index mismatch at (n=6, l=3)"
+
+
+def test_oracle_suite_catches_a_wrong_cycle_index(monkeypatch):
+    right = cyclecount.cycle_index_polys
+
+    def wrong(l):
+        for n, poly in enumerate(right(l)):
+            # a copy: the generator builds g(n + 1) from the polynomial it yielded
+            terms = dict(poly.terms)
+            if (n, l) == (5, 4):
+                terms[(1, 0, 0, 1)] += 1
+            yield CycleIndexPoly(l, terms)
+
+    monkeypatch.setattr(cyclecount, "cycle_index_polys", wrong)
+    check, bound = SUITES["oracle"]
+    assert check(bound) == "cycle index mismatch at (n=5, l=4)"
 
 
 def test_census_json():
