@@ -7,11 +7,7 @@ truncated EGF algebra, saddle-point asymptotics, and a brute-force oracle.
 
 from .exactnum import (
     ZeroValuationError,
-    binomial,
-    digit_sum,
-    factorial,
     multinomial,
-    nu_factorial,
     nu_int,
     nu_rat,
     partitions,
@@ -74,11 +70,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ZeroValuationError",
-    "binomial",
-    "digit_sum",
-    "factorial",
     "multinomial",
-    "nu_factorial",
     "nu_int",
     "nu_rat",
     "partitions",

@@ -15,7 +15,6 @@ import mpmath
 from mpmath import mp, mpf
 
 from .cyclecount import restricted_count
-from .exactnum import factorial
 from .series import TruncatedEGF, series_mul
 
 DEFAULT_DPS = 40
@@ -148,7 +147,10 @@ def beta_closed_form(l: int, k: int) -> Fraction:
     beta_l = 1/l and beta_0 = -(1/l) sum_{j=2}^{l} 1/j.  For 0 < k < l the
     stated product formula is returned verbatim for comparison; it disagrees
     with the series extraction (e.g. 3/2 vs 1 at l=2, k=1), and the
-    extracted value is what the Stirling-consistent estimate uses.
+    extracted value is what the Stirling-consistent estimate uses.  With
+    e = (l-k)/l that is (1/(k (l-k)!)) prod_{m=1}^{l-k-1} (e+m), since
+    (1-x^l)^e in `eta_power_laurent` is 1 to order l-k < l and the
+    coefficient read is C(e+l-k-1, l-k); the stated product runs to m = l-1.
     """
     if not 0 <= k <= l:
         raise ValueError("requires 0 <= k <= l")
@@ -156,7 +158,7 @@ def beta_closed_form(l: int, k: int) -> Fraction:
         return Fraction(1, l)
     if k == 0:
         return -Fraction(1, l) * sum((Fraction(1, j) for j in range(2, l + 1)), Fraction(0))
-    out = Fraction(1, k * factorial(l - k))
+    out = Fraction(1, k * math.factorial(l - k))
     for m in range(1, l):
         out *= Fraction(l - k, l) + m
     return out

@@ -196,7 +196,7 @@ def _suite_periodicity(max_n: int):
 
 
 def _suite_efficiency(max_n: int):
-    ineff = valuation.inefficient_primes_upto(541)
+    ineff = valuation.inefficient_primes_upto(max_n)
     if len(ineff) != 62:
         return f"expected 62 inefficient primes, found {len(ineff)}"
     if valuation.is_efficient(3) is not True or valuation.is_efficient(7) is not True:
@@ -205,7 +205,7 @@ def _suite_efficiency(max_n: int):
 
 
 def _suite_tree5(max_n: int):
-    report = valuation.conjecture_check(5, 5)
+    report = valuation.conjecture_check(5, max_n)
     level1, level2 = report.levels[0], report.levels[1]
     if not (level1.holds and level2.holds):
         return "tree levels 1-2 do not match the narrative"
@@ -222,7 +222,7 @@ def _suite_fsum(max_n: int):
     for k in range(1, 21):
         if nu_rat(partialsum.b_k(k), 2) != k:
             return f"nu2(b) mismatch at k={k}"
-    for k in range(1, 26):
+    for k in range(1, max_n + 1):
         if 4 * k * partialsum.b_k(k) != partialsum.partial_sum(4 * k - 1):
             return f"4k*b != a(4k-1) at k={k}"
     return None
@@ -330,17 +330,17 @@ def _suite_egf(max_n: int):
 
 
 def _suite_asymptotic(max_n: int):
-    for (n, l) in ((100, 2), (1000, 2), (200, 3)):
+    for (n, l) in ((100, 2), (max_n, 2), (200, 3)):
         sol = asymptotic.solve_saddle(n, l)
         if abs(sol.residual) >= 1e-10:
             return f"saddle residual too large at (n={n}, l={l})"
     err100 = abs(asymptotic.log_exact_count(100, 2) - asymptotic.estimate_saddle(100, 2).log_value)
-    diff1000 = asymptotic.estimate_saddle(1000, 2).log_value - asymptotic.log_exact_count(1000, 2)
-    if not abs(diff1000) < err100:
-        return "log error not shrinking between n=100 and n=1000"
-    ratio = mpmath.exp(diff1000)
+    diff = asymptotic.estimate_saddle(max_n, 2).log_value - asymptotic.log_exact_count(max_n, 2)
+    if not abs(diff) < err100:
+        return f"log error not shrinking between n=100 and n={max_n}"
+    ratio = mpmath.exp(diff)
     if not 0.95 < float(ratio) < 1.05:
-        return f"ratio at n=1000 out of range: {float(ratio)}"
+        return f"ratio at n={max_n} out of range: {float(ratio)}"
     if asymptotic.beta_series_extraction(2, 1) != Fraction(1):
         return "extracted beta_1 at l=2 is not 1"
     return None

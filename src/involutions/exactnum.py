@@ -44,26 +44,6 @@ def primes_upto(bound: int) -> list[int]:
     return [p for p in range(bound + 1) if sieve[p]]
 
 
-def _require_prime(p: int) -> None:
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-
-
-def factorial(n: int) -> int:
-    if n < 0:
-        raise ValueError("factorial of negative argument")
-    return math.factorial(n)
-
-
-def binomial(n: int, k: int) -> int:
-    """C(n, k) with the 0-convention outside 0 <= k <= n."""
-    if n < 0:
-        raise ValueError("binomial requires n >= 0")
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
-
-
 def as_partition(parts) -> tuple[int, ...]:
     """Validate and canonicalize a partition (weakly decreasing positive parts)."""
     parts = tuple(sorted((int(p) for p in parts), reverse=True))
@@ -98,31 +78,14 @@ def multinomial(n: int, lam) -> int:
     return result
 
 
-def digit_sum(n: int, p: int) -> int:
-    """Sum of the base-p digits of n."""
-    _require_prime(p)
-    if n < 0:
-        raise ValueError("digit_sum requires n >= 0")
-    s = 0
-    while n:
-        n, r = divmod(n, p)
-        s += r
-    return s
-
-
-def nu_factorial(n: int, p: int) -> int:
-    """nu_p(n!) via Legendre's formula (n - s_p(n)) / (p - 1)."""
-    _require_prime(p)
-    return (n - digit_sum(n, p)) // (p - 1)
-
-
 def nu_int(x: int, p: int) -> int:
     """Largest e with p**e dividing x; x must be nonzero.
 
     For p = 2 this is the index of the lowest set bit, read in a fixed number
     of big-integer operations; odd p divides once per factor.
     """
-    _require_prime(p)
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     if x == 0:
         raise ZeroValuationError("valuation of 0 is undefined")
     x = abs(x)

@@ -6,10 +6,9 @@ coefficient of t^k, and the last entry is nonzero.
 
 from __future__ import annotations
 
+import math
 import threading
 from itertools import count, islice
-
-from .exactnum import binomial, factorial
 
 
 def involution_numbers(modulus: int = 0, one=1):
@@ -83,7 +82,7 @@ def involution_number_by_sum(n: int) -> int:
 
 def double_factorial_odd(j: int) -> int:
     """(2j)! / (j! 2^j), an odd integer; equals (2j-1)!!."""
-    return factorial(2 * j) // (factorial(j) * 2**j)
+    return math.factorial(2 * j) // (math.factorial(j) * 2**j)
 
 
 def involution_number_bisplit(n: int, m: int) -> int:
@@ -130,4 +129,4 @@ def umbral_derivative_coeffs(m: int) -> list[int]:
     if m < 0:
         raise ValueError("requires m >= 0")
     values = list(islice(involution_numbers(), m + 1))
-    return [binomial(m, k) * values[m - k] for k in range(m + 1)]
+    return [math.comb(m, k) * values[m - k] for k in range(m + 1)]

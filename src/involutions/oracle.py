@@ -3,10 +3,11 @@ and the classical cycle-type counting formula for moderate n."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import permutations as iter_permutations
 
-from .exactnum import as_partition, factorial, partitions
+from .exactnum import as_partition, partitions
 
 ENUMERATION_CAP = 9  # 9! = 362880 permutations
 CENSUS_BUDGET = 50  # p(50) = 204226 partitions, one entry each: about 4 s and 71 MB
@@ -77,8 +78,8 @@ def cycle_type_count(n: int, cycle_type) -> int:
     for part in lam:
         mult[part] = mult.get(part, 0) + 1
     for t, e in mult.items():
-        denom *= t**e * factorial(e)
-    return factorial(n) // denom
+        denom *= t**e * math.factorial(e)
+    return math.factorial(n) // denom
 
 
 def partition_census(n: int) -> CycleCensus:

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import accumulate
 
-from .exactnum import binomial
 from .involution import Cursor, involution_numbers, involution_terms
 
 
@@ -51,7 +51,7 @@ def cauchy_alternating_sum(n: int) -> int:
         raise ValueError("requires n >= 1")
     total = 0
     for k in range(1, n + 1):
-        total += (-1) ** (n - k) * binomial(n, k) * partial_sum(k - 1)
+        total += (-1) ** (n - k) * math.comb(n, k) * partial_sum(k - 1)
     return total
 
 

@@ -14,8 +14,6 @@ from fractions import Fraction
 from itertools import accumulate
 from operator import mul
 
-from .exactnum import factorial
-
 
 class TruncatedEGF:
     """Order-N truncation of sum c(n) x^n with Fraction coefficients."""
@@ -55,7 +53,7 @@ class TruncatedEGF:
 
     def egf_coefficient(self, n: int) -> Fraction:
         """n! times the n-th coefficient: the sequence value in EGF view."""
-        return self.coefficient(n) * factorial(n)
+        return self.coefficient(n) * math.factorial(n)
 
     def truncate(self, order: int) -> "TruncatedEGF":
         if order > self.order:
@@ -143,7 +141,7 @@ def series_exp(s: TruncatedEGF) -> TruncatedEGF:
         falling = accumulate(range(n, 0, -1), mul, initial=1)  # n!/(n-k)!, k = 0..n
         numerators.append(sum(map(mul, weights, map(mul, falling, reversed(numerators)))))
     return TruncatedEGF(
-        [Fraction(e, factorial(n) * den**n) for n, e in enumerate(numerators)], s.order
+        [Fraction(e, math.factorial(n) * den**n) for n, e in enumerate(numerators)], s.order
     )
 
 

@@ -169,17 +169,17 @@ def build_valuation_tree(p: int, max_level: int) -> ValuationTree:
     certification member c + (CERTIFY_N - 1) p^L < 3 p^L <= p^(L+1) of a
     terminal vertex.  A tree that ends early (p = 19 ends at level 2) reads
     no residue past that.  Budget: p^max_level <= TREE_BUDGET; anything
-    beyond raises ValueError before any work is done.
+    beyond raises ValueError before p^max_level or is_prime(p) is computed.
     """
-    if p == 2 or not is_prime(p):
-        raise ValueError(f"{p} is not an odd prime")
     if max_level < 1:
         raise ValueError("requires max_level >= 1")
-    top_mod = p**max_level
-    if top_mod > TREE_BUDGET:
+    if p ** min(max_level, TREE_BUDGET.bit_length()) > TREE_BUDGET:
         raise ValueError(
-            f"p^max_level = {top_mod} exceeds the compute budget {TREE_BUDGET}"
+            f"p^max_level = {p}^{max_level} exceeds the compute budget {TREE_BUDGET}"
         )
+    if p == 2 or not is_prime(p):
+        raise ValueError(f"{p} is not an odd prime")
+    top_mod = p**max_level
     stream = involution_numbers(top_mod)
     residues: list[int] = []  # I(0), I(1), ... mod p^max_level, as far as read
 
@@ -334,8 +334,8 @@ def nu3_partial_sum_pattern_check(n_max: int) -> bool:
     residue has the valuation of a(n) itself.  So the check is exact, and
     no a(n) is built in full.
     """
-    if n_max < 9:
-        raise ValueError("requires n_max >= 9")
+    if n_max < 0:
+        raise ValueError("requires n_max >= 0")
     modulus = 3
     while modulus <= 9 * (n_max // 9 + 1):
         modulus *= 3

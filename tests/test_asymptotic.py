@@ -1,5 +1,6 @@
 import sys
 from fractions import Fraction
+from math import factorial, prod
 
 import mpmath
 import pytest
@@ -143,6 +144,17 @@ def test_printed_beta_disagrees_with_extraction():
     # involutions, so both are exposed
     assert beta_closed_form(2, 1) == Fraction(3, 2)
     assert beta_series_extraction(2, 1) == 1
+
+
+def test_printed_beta_runs_the_extracted_product_past_l_minus_k():
+    # with e = (l-k)/l both are (1/(k (l-k)!)) prod_m (e + m): the extracted
+    # beta_k stops at m = l-k-1, the printed form runs on to m = l-1
+    for l in range(2, 13):
+        for k in range(1, l):
+            e = Fraction(l - k, l)
+            lead = Fraction(1, k * factorial(l - k))
+            assert beta_series_extraction(l, k) == lead * prod(e + m for m in range(1, l - k))
+            assert beta_closed_form(l, k) == lead * prod(e + m for m in range(1, l))
 
 
 def test_closed_form_estimate_stirling_vs_printed():

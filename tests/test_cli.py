@@ -450,6 +450,23 @@ def test_verify_honours_max(suite, max_n, capsys, monkeypatch):
     assert out_lines(capsys) == [f"{suite}: ok"] and max(seen) == max_n
 
 
+def test_fixed_bound_suites_read_their_bound(monkeypatch):
+    # each bound is spelt once, in SUITES, so a json record's max is what ran
+    seen = []
+    for module, name in [(cli.valuation, "inefficient_primes_upto"),
+                         (cli.valuation, "conjecture_check"),
+                         (cli.partialsum, "partial_sum"),
+                         (cli.asymptotic, "log_exact_count")]:
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *args, name=name, real=real: seen.append((name, *args)) or real(*args))
+    for suite, bound in [("efficiency", 100), ("tree-5", 3), ("f-sum", 10), ("asymptotic", 500)]:
+        SUITES[suite][0](bound)
+    assert ("inefficient_primes_upto", 100) in seen and ("conjecture_check", 5, 3) in seen
+    assert max(n for name, n, *_ in seen if name == "partial_sum") == 4 * 10 - 1
+    assert ("log_exact_count", 500, 2) in seen
+
+
 def test_verify_single_suite(capsys):
     assert run(["verify", "--suite", "tables"]) == EXIT_OK
     assert out_lines(capsys) == ["tables: ok"]

@@ -5,40 +5,13 @@ from hypothesis import given, strategies as st
 
 from involutions.exactnum import (
     ZeroValuationError,
-    binomial,
-    digit_sum,
-    factorial,
     is_prime,
     multinomial,
-    nu_factorial,
     nu_int,
     nu_rat,
     partitions,
     primes_upto,
 )
-
-
-def pascal_binomial(n, k):
-    # independent oracle: Pascal's triangle
-    row = [1]
-    for _ in range(n):
-        row = [1] + [row[i] + row[i + 1] for i in range(len(row) - 1)] + [1]
-    if k < 0 or k > n:
-        return 0
-    return row[k]
-
-
-def test_factorial_examples():
-    assert factorial(0) == 1
-    assert factorial(5) == 120
-    assert factorial(12) == 479001600
-
-
-def test_binomial_examples():
-    assert binomial(4, 2) == 6
-    assert binomial(4, 5) == 0
-    assert binomial(4, -1) == 0
-    assert binomial(40, 20) == pascal_binomial(40, 20) == 137846528820
 
 
 def test_multinomial_examples():
@@ -47,26 +20,6 @@ def test_multinomial_examples():
     assert multinomial(4, (2, 1, 1)) == 12
     with pytest.raises(ValueError):
         multinomial(5, (3, 3))
-
-
-def test_digit_sum_examples():
-    assert digit_sum(10, 2) == 2  # 1010 in binary
-    assert digit_sum(0, 5) == 0
-    assert digit_sum(24, 5) == 8  # 44 in base 5
-    with pytest.raises(ValueError):
-        digit_sum(10, 4)
-
-
-def test_nu_factorial_examples():
-    assert nu_factorial(4, 2) == 3
-    assert nu_factorial(0, 3) == 0
-    assert nu_factorial(25, 5) == 6
-
-
-def test_nu_factorial_matches_direct_division():
-    for n in range(0, 60):
-        for p in (2, 3, 5, 7):
-            assert nu_factorial(n, p) == (nu_int(factorial(n), p) if n > 1 else 0)
 
 
 def test_nu_int_examples():
@@ -127,21 +80,6 @@ def test_nu_rat_matches_division_loop(p):
             x = Fraction(u * p**a, -w * p**b)
             expected = loop_nu(x.numerator, p) - loop_nu(x.denominator, p)
             assert nu_rat(x, p) == expected == a - b
-
-
-def test_legendre_identity_sweep():
-    for n in range(301):
-        for p in (2, 3, 5, 7):
-            assert nu_factorial(n, p) == (n - digit_sum(n, p)) // (p - 1)
-            assert (n - digit_sum(n, p)) % (p - 1) == 0
-
-
-@given(st.integers(0, 80), st.integers(-5, 90))
-def test_pascal_recurrence(n, k):
-    if n == 0:
-        assert binomial(0, k) == (1 if k == 0 else 0)
-    else:
-        assert binomial(n, k) == binomial(n - 1, k - 1) + binomial(n - 1, k)
 
 
 @given(st.fractions(), st.fractions())

@@ -2,13 +2,14 @@ import decimal
 import sys
 import threading
 from itertools import islice
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from involutions import involution
 from involutions.cli import _EXACT, SUITES
-from involutions.exactnum import binomial, factorial, nu_int
+from involutions.exactnum import nu_int
 from involutions.involution import (
     Cursor,
     double_factorial_odd,
@@ -117,10 +118,10 @@ def test_carried_forms_equal_the_binomial_formulas():
     for n in range(301):
         js = range(n // 2 + 1)
         assert involution_number_by_sum(n) == sum(
-            binomial(n, 2 * j) * binomial(2 * j, j) * factorial(j) // 2**j for j in js)
+            comb(n, 2 * j) * comb(2 * j, j) * factorial(j) // 2**j for j in js)
         coeffs = [0] * (n + 1)
         for j in js:
-            coeffs[n - 2 * j] = binomial(n, 2 * j) * double_factorial_odd(j)
+            coeffs[n - 2 * j] = comb(n, 2 * j) * double_factorial_odd(j)
         assert involution_poly(n) == coeffs
         for j in js:
             coeffs[n - 2 * j] *= (-1) ** j
@@ -129,7 +130,7 @@ def test_carried_forms_equal_the_binomial_formulas():
     for a in range(61):
         for b in range(61 - a):
             assert involution_number_bisplit(a, b) == sum(
-                factorial(k) * binomial(a, k) * binomial(b, k) * values[a - k] * values[b - k]
+                factorial(k) * comb(a, k) * comb(b, k) * values[a - k] * values[b - k]
                 for k in range(min(a, b) + 1)), (a, b)
 
 

@@ -1,12 +1,12 @@
 import io
 import json
+from math import factorial
 
 import pytest
 
 from involutions import cyclecount, oracle
 from involutions.cli import SUITES
 from involutions.cyclecount import CycleIndexPoly, cycle_index_poly, restricted_count
-from involutions.exactnum import factorial
 from involutions.involution import involution_number, involution_poly
 from involutions.oracle import (
     census_cycle_index_terms,

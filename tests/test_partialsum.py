@@ -1,12 +1,12 @@
 import decimal
 from fractions import Fraction
 from itertools import count, islice
+from math import comb
 
 import pytest
 
 from involutions import partialsum
 from involutions.cli import _EXACT, SUITES
-from involutions.exactnum import binomial
 from involutions.involution import double_factorial_odd, involution_number
 from involutions.partialsum import (
     F_sum,
@@ -128,7 +128,7 @@ def test_carried_sums_equal_the_binomial_formulas():
     # the f-sum suite's range, against the binomial and double-factorial
     # form each term was evaluated by before the terms were carried
     def term(k, j):
-        return double_factorial_odd(j) * binomial(4 * k - 1, 2 * j)
+        return double_factorial_odd(j) * comb(4 * k - 1, 2 * j)
 
     for k in range(1, 13):
         for alpha in (1, 3, 5, 7, 9):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -304,6 +305,21 @@ def test_tree_budget():
         build_valuation_tree(5, 9)
 
 
+@pytest.mark.parametrize("p, depth", [(5, 10**8), (3, 10**9), (999999999999999989, 1)])
+def test_tree_budget_comes_before_any_work(monkeypatch, capsys, p, depth):
+    # neither p^depth nor a primality test by trial division is computed
+    def is_prime(n):
+        raise AssertionError(f"primality of {n} was tested")
+    monkeypatch.setattr(valuation, "is_prime", is_prime)
+    message = f"p^max_level = {p}^{depth} exceeds the compute budget {valuation.TREE_BUDGET}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build_valuation_tree(p, depth)
+    for action in ("--tree", "--conjecture"):
+        argv = ["valuation", action, "--prime", str(p), "--depth", str(depth)]
+        assert cli.run(argv) == cli.EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_efficiency_scan_budget(monkeypatch):
     # a bound past SCAN_BUDGET is refused before its sieve is built
     def sieve(bound):
@@ -328,6 +344,16 @@ def test_nu3_check_reads_exact_valuations_from_residues(monkeypatch):
     exact = [nu_int(partial_sum(n), 3) for n in range(1001)]
     monkeypatch.setattr(valuation, "nu3_partial_sum", exact.__getitem__)
     assert all(nu3_partial_sum_pattern_check(n_max) for n_max in range(9, 1001))
+
+
+def test_nu3_check_holds_below_nine(capsys):
+    # 3^K > 9 (n_max // 9 + 1) keeps the check exact for every n_max >= 0
+    assert all(nu3_partial_sum_pattern_check(n_max) for n_max in range(9))
+    with pytest.raises(ValueError, match="n_max >= 0"):
+        nu3_partial_sum_pattern_check(-1)
+    for n_max in range(9):
+        assert cli.run(["verify", "--suite", "nu3-pattern", "--max", str(n_max)]) == cli.EXIT_OK
+        assert capsys.readouterr().out == "nu3-pattern: ok\n"
 
 
 @pytest.mark.parametrize("delta", [1, -1])
