@@ -152,8 +152,8 @@ def beta_closed_form(l: int, k: int) -> Fraction:
     (1-x^l)^e in `eta_power_laurent` is 1 to order l-k < l and the
     coefficient read is C(e+l-k-1, l-k); the stated product runs to m = l-1.
     """
-    if not 0 <= k <= l:
-        raise ValueError("requires 0 <= k <= l")
+    if l < 1 or not 0 <= k <= l:
+        raise ValueError("requires l >= 1 and 0 <= k <= l")
     if k == l:
         return Fraction(1, l)
     if k == 0:

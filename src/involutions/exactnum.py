@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterator
 
 
@@ -16,8 +17,13 @@ class ZeroValuationError(ValueError):
     """Raised when the p-adic valuation of 0 is requested."""
 
 
+@lru_cache(maxsize=1024)
 def is_prime(n: int) -> bool:
-    """Deterministic trial division; intended for n <= 10**6 or so."""
+    """Deterministic trial division, cached per n; intended for n <= 10**6 or so.
+
+    `nu_int` tests its p on every call, so the cache leaves one trial
+    division per prime, not one per valuation.
+    """
     if n < 2:
         return False
     if n < 4:

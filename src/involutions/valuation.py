@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import accumulate, islice, tee
+from heapq import merge
+from itertools import accumulate, count, islice, tee
 from operator import eq
 
 from .exactnum import is_prime, nu_int, primes_upto
@@ -150,7 +151,7 @@ class ValuationTree:
 
 
 CERTIFY_N = 3  # members certified per terminal vertex
-TREE_BUDGET = 10**6  # largest p^max_level a tree may reach
+TREE_BUDGET = 10**6  # largest p^max_level; a tree steps its stream < 3 p^max_level times
 
 
 def build_valuation_tree(p: int, max_level: int) -> ValuationTree:
@@ -161,15 +162,12 @@ def build_valuation_tree(p: int, max_level: int) -> ValuationTree:
     valuation nu_p(I(c)) < L.  Otherwise the vertex is non-terminal with
     lower bound L and is split into its p sub-classes at the next level.
 
-    Each terminal vertex is certified where its level decides it, on its
-    first CERTIFY_N members c + i p^L from I(n) mod p^max_level, which
-    decides every valuation below max_level, so no exact I(n) is built.
-    The residues come from one stream, read only as far as the answer
-    needs: up to p^L before level L is decided, and up to the largest
-    certification member c + (CERTIFY_N - 1) p^L < 3 p^L <= p^(L+1) of a
-    terminal vertex.  A tree that ends early (p = 19 ends at level 2) reads
-    no residue past that.  Budget: p^max_level <= TREE_BUDGET; anything
-    beyond raises ValueError before p^max_level or is_prime(p) is computed.
+    One forward pass over I(n) mod p^max_level, which decides every valuation
+    below max_level, reads only the residues the tree needs: the new
+    representatives c + k p^(L-1) of level L and the members c + i p^(L-1),
+    i < CERTIFY_N, that certify the terminal vertices of level L - 1, all in
+    [p^(L-1), p^L) for odd p.  Only the residues of open classes are held.
+    Budget: p^max_level <= TREE_BUDGET, checked before any work.
     """
     if max_level < 1:
         raise ValueError("requires max_level >= 1")
@@ -179,55 +177,36 @@ def build_valuation_tree(p: int, max_level: int) -> ValuationTree:
         )
     if p == 2 or not is_prime(p):
         raise ValueError(f"{p} is not an odd prime")
-    top_mod = p**max_level
-    stream = involution_numbers(top_mod)
-    residues: list[int] = []  # I(0), I(1), ... mod p^max_level, as far as read
-
-    def read_below(n: int) -> None:
-        residues.extend(islice(stream, max(n - len(residues), 0)))
-
+    stream = enumerate(involution_numbers(p**max_level))
+    open_classes = [next(stream)]  # (c, I(c) mod p^max_level), ascending in c
+    last = 0  # the index last read
+    terminals: list[TreeVertex] = []  # decided a level ago, certified by this pass
     tree = ValuationTree(prime=p)
-    frontier = [0]  # non-terminal class representatives of the previous level
-    for level in range(1, max_level + 1):
-        modulus = p**level
-        prev_modulus = p ** (level - 1)
-        read_below(modulus)
-        vertices = []
-        next_frontier = []
-        for base in frontier:
-            for k in range(p):
-                c = base + k * prev_modulus
-                value_mod = residues[c] % modulus
-                if value_mod != 0:
-                    vertex = TreeVertex(level, c, nu_int(value_mod, p))
-                    read_below(c + (CERTIFY_N - 1) * modulus + 1)
-                    _certify_terminal(vertex, p, residues)
-                else:
-                    vertex = TreeVertex(level, c)
-                    next_frontier.append(c)
-                vertices.append(vertex)
-        vertices.sort(key=lambda v: v.residue)
+    for level in count(1):
+        step, modulus = p ** (level - 1), p**level
+        # the child k = 0 of a class is the class itself, whose residue is held
+        children = ((c + k * step, None if k else r, None)
+                    for k in range(p) for c, r in open_classes)
+        members = ((v.residue + i * step, None, v)
+                   for i in range(1, CERTIFY_N) for v in terminals)
+        vertices, next_open = [], []
+        for n, r, vertex in merge(children, members):
+            if r is None:
+                last, r = next(islice(stream, n - last - 1, None))
+            if vertex is not None:
+                if r == 0 or nu_int(r, p) != vertex.valuation:
+                    raise AssertionError(f"terminal vertex {vertex} fails "
+                                         f"certification at n={n}")
+            elif r % modulus:
+                vertices.append(TreeVertex(level, n, nu_int(r % modulus, p)))
+            else:
+                vertices.append(TreeVertex(level, n))
+                next_open.append((n, r))
+        if not vertices:
+            return tree
         tree.levels.append(vertices)
-        frontier = next_frontier
-        if not frontier:
-            break
-    return tree
-
-
-def _certify_terminal(vertex: TreeVertex, p: int, residues: list[int]) -> None:
-    """Check nu_p(I(n)) on the class's first CERTIFY_N members.
-
-    `residues` holds I(n) mod p^max_level; the vertex's valuation is below
-    its level <= max_level, so a nonzero residue has the valuation of I(n).
-    """
-    modulus = p**vertex.level
-    for i in range(CERTIFY_N):
-        n = vertex.residue + i * modulus
-        r = residues[n]
-        if r == 0 or nu_int(r, p) != vertex.valuation:
-            raise AssertionError(
-                f"terminal vertex {vertex} fails certification at n={n}"
-            )
+        terminals = [v for v in vertices if v.terminal]
+        open_classes = next_open if level < max_level else []
 
 
 @dataclass

@@ -138,6 +138,13 @@ def test_beta_closed_form_endpoints():
     assert beta_closed_form(1, 1) == 1
 
 
+@pytest.mark.parametrize("l, k", [(0, 0), (-1, 0)])
+def test_beta_closed_form_refuses_l_below_1(l, k):
+    # l = 0 passed 0 <= k <= l and then divided by l
+    with pytest.raises(ValueError, match="requires l >= 1"):
+        beta_closed_form(l, k)
+
+
 def test_printed_beta_disagrees_with_extraction():
     # the printed interior coefficient at l=2 is 3/2; extraction gives 1,
     # and only the extracted value reproduces exp(sqrt(n)) growth for

@@ -301,6 +301,13 @@ def test_asym_beta(capsys):
     assert doc["printed"] == doc["extracted"] == "-5/18"
 
 
+def test_asym_beta_refuses_l_0(capsys):
+    assert run(["asym", "--beta", "0", "--l", "0"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: requires l >= 1 and 0 <= k <= l\n"
+
+
 def test_asym_sweep_csv(capsys):
     assert run(["asym", "--sweep", "50", "100", "--l", "2"]) == EXIT_OK
     lines = out_lines(capsys)

@@ -4,7 +4,7 @@ import re
 import pytest
 
 from involutions import cli, valuation
-from involutions.exactnum import multinomial, nu_int, primes_upto
+from involutions.exactnum import is_prime, multinomial, nu_int, primes_upto
 from involutions.involution import involution_number
 from involutions.partialsum import partial_sum
 from involutions.valuation import (
@@ -244,15 +244,27 @@ def test_mod_sequence_matches_exact_values(modulus):
     ]
 
 
-def test_deep_conjecture_check_runs_in_bounded_memory(run_measured):
-    # 5^8 = 390625 is inside the default budget; the certification sweep
-    # is 3 * 5^8 residues and no exact I(n) is built
+@pytest.mark.parametrize("p, depth", [(5, 8), (97, 3), (991, 2)])
+def test_deep_conjecture_check_runs_in_bounded_memory(run_measured, p, depth):
+    # inside the default budget the stream is stepped up to 3 p^depth times,
+    # but only the residues of open classes are held and no exact I(n) is
+    # built, so the peak stays near the import's 20 MB
     proc, peak_kb = run_measured("-m", "involutions.cli", "valuation", "--conjecture",
-                                 "--prime", "5", "--depth", "8", "--format", "json")
+                                 "--prime", str(p), "--depth", str(depth),
+                                 "--format", "json")
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
-    assert doc["prime"] == 5 and len(doc["levels"]) == 8
-    assert peak_kb < 300 * 1024
+    assert doc["prime"] == p and len(doc["levels"]) == depth
+    assert peak_kb < 40 * 1024
+
+
+def test_wide_tree_tests_its_prime_once():
+    # nu_int tests p on every call, so the 99991 valuations of this tree
+    # must share one trial division, or (999983, 1) takes minutes
+    before = is_prime.cache_info().misses
+    tree = build_valuation_tree(99991, 1)
+    assert len(tree.levels[0]) == 99991
+    assert is_prime.cache_info().misses <= before + 1
 
 
 def test_tree_json_schema():
