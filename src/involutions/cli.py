@@ -477,7 +477,7 @@ COMMANDS = {
             lambda a: print(valuation.nu2_partial_sum(a.nu2_partial_sum)), {}),
         "efficiency_scan": Action(_efficiency_scan, {"max": 541}, ("plain", "json")),
         "tree": Action(
-            lambda a: print(valuation.build_valuation_tree(a.prime, a.depth).to_json()),
+            lambda a: valuation.build_valuation_tree(a.prime, a.depth).write_json(sys.stdout),
             PRIME_AND_DEPTH, ("json",)),
         "conjecture": Action(_conjecture, PRIME_AND_DEPTH, ("plain", "json")),
     },

@@ -8,10 +8,11 @@ pattern of the partial sums.
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass, field
 from heapq import merge
-from itertools import accumulate, count, islice, tee
+from itertools import accumulate, islice, tee
 from operator import eq
 
 from .exactnum import is_prime, nu_int, primes_upto
@@ -109,7 +110,7 @@ def periodicity_check(p: int, r: int, n_max: int) -> bool:
     return all(map(eq, islice(now, n_max + 1), islice(later, q, None)))
 
 
-@dataclass
+@dataclass(slots=True)
 class TreeVertex:
     """Residue class {n == residue mod p^level} with its valuation status.
 
@@ -139,19 +140,34 @@ class ValuationTree:
     prime: int
     levels: list[list[TreeVertex]] = field(default_factory=list)
 
+    def write_json(self, out) -> None:
+        """Write the tree as one JSON line to the text stream `out`.
+
+        The bytes are those of json.dumps(doc, sort_keys=True) and a newline,
+        with each vertex as `TreeVertex.to_dict` gives it, written a vertex
+        at a time by an f-string, so no second copy of the tree is built.
+        """
+        out.write('{"levels": [')
+        for i, level in enumerate(self.levels):
+            modulus = self.prime ** level[0].level
+            out.write(", [" if i else "[")
+            out.writelines(
+                f'{", " if j else ""}{{"modulus": {modulus}, "residue": {v.residue}, '
+                f'"status": "{"nonterminal" if v.valuation is None else "terminal"}", '
+                f'"valuation_or_bound": {v.level if v.valuation is None else v.valuation}}}'
+                for j, v in enumerate(level))
+            out.write("]")
+        out.write(f'], "prime": {self.prime}, '
+                  '"schema": "involutions/valuation-tree/1"}\n')
+
     def to_json(self) -> str:
-        doc = {
-            "schema": "involutions/valuation-tree/1",
-            "prime": self.prime,
-            "levels": [
-                [v.to_dict(self.prime) for v in level] for level in self.levels
-            ],
-        }
-        return json.dumps(doc, sort_keys=True)
+        out = io.StringIO()
+        self.write_json(out)
+        return out.getvalue().rstrip("\n")
 
 
-CERTIFY_N = 3  # members certified per terminal vertex
-TREE_BUDGET = 10**6  # largest p^max_level; a tree steps its stream < 3 p^max_level times
+CERTIFY_N = 3  # members certified per terminal vertex below the last level
+TREE_BUDGET = 10**6  # largest p^max_level; a tree steps its stream at most p^max_level + 1 times
 
 
 def build_valuation_tree(p: int, max_level: int) -> ValuationTree:
@@ -162,12 +178,18 @@ def build_valuation_tree(p: int, max_level: int) -> ValuationTree:
     valuation nu_p(I(c)) < L.  Otherwise the vertex is non-terminal with
     lower bound L and is split into its p sub-classes at the next level.
 
-    One forward pass over I(n) mod p^max_level, which decides every valuation
-    below max_level, reads only the residues the tree needs: the new
-    representatives c + k p^(L-1) of level L and the members c + i p^(L-1),
-    i < CERTIFY_N, that certify the terminal vertices of level L - 1, all in
-    [p^(L-1), p^L) for odd p.  Only the residues of open classes are held.
-    Budget: p^max_level <= TREE_BUDGET, checked before any work.
+    One forward pass over I(n) mod q, q = p^max_level, which decides every
+    valuation below max_level, reads only the residues the tree needs: the
+    new representatives c + k p^(L-1) of level L and the members
+    c + i p^(L-1), i < CERTIFY_N, that certify the terminal vertices of
+    level L - 1, all in [p^(L-1), p^L) for odd p.  The terminal vertices of
+    the last level are certified by one more residue, I(q) mod q: the step
+    matrix [[1, m], [1, 0]] of the recurrence depends on m only mod q, and
+    at m = 0 it discards I(-1), so I(n + q) == I(q) I(n) mod q for all
+    n >= 0.  A terminal t of valuation v < max_level therefore keeps v at
+    every t + i q exactly when p does not divide I(q).  So the stream steps
+    at most q + 1 times, and only the residues of open classes are held.
+    Budget: q <= TREE_BUDGET, checked before any work.
     """
     if max_level < 1:
         raise ValueError("requires max_level >= 1")
@@ -177,12 +199,13 @@ def build_valuation_tree(p: int, max_level: int) -> ValuationTree:
         )
     if p == 2 or not is_prime(p):
         raise ValueError(f"{p} is not an odd prime")
-    stream = enumerate(involution_numbers(p**max_level))
-    open_classes = [next(stream)]  # (c, I(c) mod p^max_level), ascending in c
+    q = p**max_level
+    stream = enumerate(involution_numbers(q))
+    open_classes = [next(stream)]  # (c, I(c) mod q), ascending in c
     last = 0  # the index last read
     terminals: list[TreeVertex] = []  # decided a level ago, certified by this pass
     tree = ValuationTree(prime=p)
-    for level in count(1):
+    for level in range(1, max_level + 1):
         step, modulus = p ** (level - 1), p**level
         # the child k = 0 of a class is the class itself, whose residue is held
         children = ((c + k * step, None if k else r, None)
@@ -206,7 +229,13 @@ def build_valuation_tree(p: int, max_level: int) -> ValuationTree:
             return tree
         tree.levels.append(vertices)
         terminals = [v for v in vertices if v.terminal]
-        open_classes = next_open if level < max_level else []
+        open_classes = next_open
+    if terminals:
+        _, r = next(islice(stream, q - last - 1, None))
+        if r % p == 0:
+            raise AssertionError(f"terminal vertex {terminals[0]} fails "
+                                 f"certification at n={terminals[0].residue + q}")
+    return tree
 
 
 @dataclass

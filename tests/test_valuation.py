@@ -1,3 +1,4 @@
+import io
 import json
 import re
 
@@ -217,6 +218,8 @@ def _count_reads(monkeypatch):
 
 
 def test_tree_that_ends_early_reads_no_further(monkeypatch):
+    # a tree to depth L steps its stream at most p^L + 1 times, the last read
+    # being I(p^L), which certifies level L by I(n + q) == I(q) I(n) mod q;
     # p = 19 ends at level 2: its residues are read to the last certification
     # member of level 2, below 3 * 19^2, never towards 19^4
     steps = _count_reads(monkeypatch)
@@ -226,12 +229,14 @@ def test_tree_that_ends_early_reads_no_further(monkeypatch):
 
 
 @pytest.mark.parametrize("p, depth, reads", [
-    (5, 6, 44725), (5, 8, 1104100), (13, 3, 6571),
-    (19, 4, 1071), (59, 2, 10426), (29, 3, 73059),
+    (5, 6, 15626), (5, 8, 390626), (13, 3, 2198),
+    (19, 4, 1071), (59, 2, 3482), (29, 3, 24390),
 ])
 def test_tree_reads_the_residues_that_decide_it(monkeypatch, p, depth, reads):
     # up to p^L for level L, and to the last certification member of a
-    # terminal vertex: certifying a vertex where it is decided reads no more
+    # terminal vertex: certifying a vertex where it is decided reads no more;
+    # the last level is certified by I(p^depth) alone, so a tree that reaches
+    # it with terminal vertices reads p^depth + 1 residues
     steps = _count_reads(monkeypatch)
     build_valuation_tree(p, depth)
     assert len(steps) == reads
@@ -246,9 +251,10 @@ def test_mod_sequence_matches_exact_values(modulus):
 
 @pytest.mark.parametrize("p, depth", [(5, 8), (97, 3), (991, 2)])
 def test_deep_conjecture_check_runs_in_bounded_memory(run_measured, p, depth):
-    # inside the default budget the stream is stepped up to 3 p^depth times,
-    # but only the residues of open classes are held and no exact I(n) is
-    # built, so the peak stays near the import's 20 MB
+    # inside the default budget the stream is stepped at most p^depth + 1
+    # times (I(n + q) == I(q) I(n) mod q certifies the last level from
+    # I(q) alone), only the residues of open classes are held and no exact
+    # I(n) is built, so the peak stays near the import's 20 MB
     proc, peak_kb = run_measured("-m", "involutions.cli", "valuation", "--conjecture",
                                  "--prime", str(p), "--depth", str(depth),
                                  "--format", "json")
@@ -265,6 +271,66 @@ def test_wide_tree_tests_its_prime_once():
     tree = build_valuation_tree(99991, 1)
     assert len(tree.levels[0]) == 99991
     assert is_prime.cache_info().misses <= before + 1
+
+
+@pytest.mark.parametrize("q", [2**5, 6, 5**3, 13**2, 97])
+def test_shifted_involution_number_is_a_multiple_mod_q(q):
+    # the step matrix [[1, m], [1, 0]] depends on m only mod q, and at m = 0
+    # it discards I(-1): so I(n + q) == I(q) I(n) mod q, for any q >= 1
+    assert all((involution_number(n + q) - involution_number(q) * involution_number(n)) % q == 0
+               for n in range(3 * q))
+
+
+@pytest.mark.parametrize("perturb", [lambda r, m: 0, lambda r, m: 5 * r % m],
+                         ids=["zero", "times-p"])
+def test_tree_certification_catches_p_dividing_I_of_q(monkeypatch, perturb):
+    # the last level is certified by I(125) mod 125 alone: plant p | I(q)
+    # there, and the least terminal vertex of level 3 fails at t + 125
+    last = build_valuation_tree(5, 3).levels[-1]
+    t = min(v.residue for v in last if v.terminal)
+    stream = valuation.involution_numbers
+
+    def corrupt(modulus=0, one=1):
+        for n, r in enumerate(stream(modulus, one)):
+            yield perturb(r, modulus) if n == 125 else r
+
+    monkeypatch.setattr(valuation, "involution_numbers", corrupt)
+    with pytest.raises(AssertionError, match=f"n={t + 125}$"):
+        build_valuation_tree(5, 3)
+
+
+@pytest.mark.parametrize("p, depth", [(5, 1), (5, 4), (13, 3), (19, 4), (3, 2)])
+def test_tree_json_equals_the_sorted_json_dumps(p, depth):
+    tree = build_valuation_tree(p, depth)
+    doc = {
+        "schema": "involutions/valuation-tree/1",
+        "prime": p,
+        "levels": [[v.to_dict(p) for v in level] for level in tree.levels],
+    }
+    out = io.StringIO()
+    tree.write_json(out)
+    assert out.getvalue() == json.dumps(doc, sort_keys=True) + "\n"
+    assert tree.to_json() + "\n" == out.getvalue()
+    empty = valuation.ValuationTree(prime=p)
+    assert empty.to_json() == json.dumps({**doc, "levels": []}, sort_keys=True)
+
+
+def test_wide_tree_json_streams_in_bounded_memory(run_measured):
+    # the 99991 vertices are written one at a time: building the whole
+    # document first peaked at 76 MB, and at 556 MB for p = 999983
+    def count_braces(stdout):
+        braces, tail = 0, b""
+        for chunk in iter(lambda: stdout.read(1 << 16), b""):
+            braces += chunk.count(b"{")
+            tail = (tail + chunk)[-100:]
+        return braces, tail
+    proc, peak_kb = run_measured("-m", "involutions.cli", "valuation", "--tree",
+                                 "--prime", "99991", "--depth", "1", read=count_braces)
+    braces, tail = proc.stdout
+    assert proc.returncode == 0, proc.stderr
+    assert braces == 99991 + 1  # one per vertex and one for the document
+    assert tail.endswith(b'"prime": 99991, "schema": "involutions/valuation-tree/1"}\n')
+    assert peak_kb < 50 * 1024
 
 
 def test_tree_json_schema():
