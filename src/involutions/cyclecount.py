@@ -120,6 +120,9 @@ def _cycle_index_steps(l: int):
 
 
 CYCLE_INDEX_BUDGET = 2 * 10**5  # terms of g(0..n); (40, 40) has 215k: about 2 s and 115 MB
+# exponents of g(0..n), l per term: (39, 39) has the most, 6.94M, of any
+# l <= n inside the term budget, and peaks at 98 MB
+EXPONENT_BUDGET = 7 * 10**6
 
 
 def _terms_upto(n: int, l: int) -> int:
@@ -131,18 +134,30 @@ def _terms_upto(n: int, l: int) -> int:
     return sum(ways)
 
 
-def cycle_index_poly(n: int, l: int) -> CycleIndexPoly:
-    """Cycle-index polynomial g(n) of the permutations with cycles <= l.
+def _check_budget(n: int, l: int) -> None:
+    """Refuse g(0..n) past CYCLE_INDEX_BUDGET terms or EXPONENT_BUDGET exponents.
 
-    Refused past CYCLE_INDEX_BUDGET terms of g(0..n), counted before any work;
-    there are at least n + 1, and (n//2 + 1)^2 when l >= 2, so a large n is
-    refused uncounted.
+    Counted before any work; there are at least n + 1 terms, and
+    (n//2 + 1)^2 when l >= 2, so a large n is refused uncounted.  Each term
+    holds an exponent vector of length l, so a small n with a large l is
+    refused by the second budget.
     """
     if n < 0 or l < 1:
         raise ValueError("requires n >= 0 and l >= 1")
     if (max(n + 1, (n // 2 + 1) ** 2 if l > 1 else 0) > CYCLE_INDEX_BUDGET
-            or _terms_upto(n, l) > CYCLE_INDEX_BUDGET):
+            or (terms := _terms_upto(n, l)) > CYCLE_INDEX_BUDGET):
         raise ValueError(f"n = {n}, l = {l} exceeds the cycle-index budget {CYCLE_INDEX_BUDGET}")
+    if terms * l > EXPONENT_BUDGET:
+        raise ValueError(f"n = {n}, l = {l} holds {terms * l} exponents, "
+                         f"past the exponent budget {EXPONENT_BUDGET}")
+
+
+def cycle_index_poly(n: int, l: int) -> CycleIndexPoly:
+    """Cycle-index polynomial g(n) of the permutations with cycles <= l.
+
+    Refused before any work past either budget of `_check_budget`.
+    """
+    _check_budget(n, l)
     return next(islice(cycle_index_polys(l), n, None))
 
 
@@ -224,8 +239,10 @@ def toeplitz_determinant(n: int, l: int) -> CycleIndexPoly:
 
     Expands the real form of the matrix (see toeplitz_matrix), whose
     determinant equals that of the paper's Gaussian-integer form, over its
-    trailing minors.
+    trailing minors.  Its entries and minors hold exponent vectors of
+    length l as g(0..n) does, so it keeps the budgets of cycle_index_poly.
     """
     if n > TOEPLITZ_MAX_N:
         raise ValueError(f"n={n} exceeds the verification bound {TOEPLITZ_MAX_N}")
+    _check_budget(n, l)
     return CycleIndexPoly(l, _det_hessenberg(toeplitz_matrix(n, l), l))

@@ -8,12 +8,12 @@ pattern of the partial sums.
 
 from __future__ import annotations
 
-import io
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from heapq import merge
-from itertools import accumulate, islice, tee
-from operator import eq
+from itertools import accumulate, groupby, islice, tee
+from operator import attrgetter, eq
 
 from .exactnum import is_prime, nu_int, primes_upto
 from .involution import involution_numbers
@@ -126,14 +126,6 @@ class TreeVertex:
     def terminal(self) -> bool:
         return self.valuation is not None
 
-    def to_dict(self, p: int) -> dict:
-        return {
-            "residue": self.residue,
-            "modulus": p**self.level,
-            "status": "terminal" if self.terminal else "nonterminal",
-            "valuation_or_bound": self.valuation if self.terminal else self.level,
-        }
-
 
 @dataclass
 class ValuationTree:
@@ -144,8 +136,10 @@ class ValuationTree:
         """Write the tree as one JSON line to the text stream `out`.
 
         The bytes are those of json.dumps(doc, sort_keys=True) and a newline,
-        with each vertex as `TreeVertex.to_dict` gives it, written a vertex
-        at a time by an f-string, so no second copy of the tree is built.
+        with each vertex as {"modulus": p^level, "residue", "status":
+        "terminal" or "nonterminal", "valuation_or_bound": the valuation, or
+        the level of an open class}, written a vertex at a time by an
+        f-string, so no second copy of the tree is built.
         """
         out.write('{"levels": [')
         for i, level in enumerate(self.levels):
@@ -160,18 +154,13 @@ class ValuationTree:
         out.write(f'], "prime": {self.prime}, '
                   '"schema": "involutions/valuation-tree/1"}\n')
 
-    def to_json(self) -> str:
-        out = io.StringIO()
-        self.write_json(out)
-        return out.getvalue().rstrip("\n")
-
 
 CERTIFY_N = 3  # members certified per terminal vertex below the last level
 TREE_BUDGET = 10**6  # largest p^max_level; a tree steps its stream at most p^max_level + 1 times
 
 
-def build_valuation_tree(p: int, max_level: int) -> ValuationTree:
-    """Leveled refinement of residue classes mod p^level classifying nu_p(I(n)).
+def _tree_vertices(p: int, max_level: int):
+    """Yield the vertices of the valuation tree, level by level, ascending.
 
     A vertex with representative c at level L is terminal exactly when
     I(c) mod p^L != 0: by periodicity the whole class then shares the
@@ -183,13 +172,15 @@ def build_valuation_tree(p: int, max_level: int) -> ValuationTree:
     new representatives c + k p^(L-1) of level L and the members
     c + i p^(L-1), i < CERTIFY_N, that certify the terminal vertices of
     level L - 1, all in [p^(L-1), p^L) for odd p.  The terminal vertices of
-    the last level are certified by one more residue, I(q) mod q: the step
-    matrix [[1, m], [1, 0]] of the recurrence depends on m only mod q, and
-    at m = 0 it discards I(-1), so I(n + q) == I(q) I(n) mod q for all
-    n >= 0.  A terminal t of valuation v < max_level therefore keeps v at
-    every t + i q exactly when p does not divide I(q).  So the stream steps
-    at most q + 1 times, and only the residues of open classes are held.
-    Budget: q <= TREE_BUDGET, checked before any work.
+    the last level are certified by one more residue, I(q) mod q, read once
+    the last vertex is yielded: the step matrix [[1, m], [1, 0]] of the
+    recurrence depends on m only mod q, and at m = 0 it discards I(-1), so
+    I(n + q) == I(q) I(n) mod q for all n >= 0.  A terminal t of valuation
+    v < max_level therefore keeps v at every t + i q exactly when p does
+    not divide I(q), and of the last level only the least terminal, named
+    when that fails, is held.  So the stream steps at most q + 1 times, and
+    only the residues of open classes are held.  Budget: q <= TREE_BUDGET,
+    checked at the first next(), before any residue is read.
     """
     if max_level < 1:
         raise ValueError("requires max_level >= 1")
@@ -204,7 +195,6 @@ def build_valuation_tree(p: int, max_level: int) -> ValuationTree:
     open_classes = [next(stream)]  # (c, I(c) mod q), ascending in c
     last = 0  # the index last read
     terminals: list[TreeVertex] = []  # decided a level ago, certified by this pass
-    tree = ValuationTree(prime=p)
     for level in range(1, max_level + 1):
         step, modulus = p ** (level - 1), p**level
         # the child k = 0 of a class is the class itself, whose residue is held
@@ -212,7 +202,7 @@ def build_valuation_tree(p: int, max_level: int) -> ValuationTree:
                     for k in range(p) for c, r in open_classes)
         members = ((v.residue + i * step, None, v)
                    for i in range(1, CERTIFY_N) for v in terminals)
-        vertices, next_open = [], []
+        decided, next_open = [], []
         for n, r, vertex in merge(children, members):
             if r is None:
                 last, r = next(islice(stream, n - last - 1, None))
@@ -220,22 +210,31 @@ def build_valuation_tree(p: int, max_level: int) -> ValuationTree:
                 if r == 0 or nu_int(r, p) != vertex.valuation:
                     raise AssertionError(f"terminal vertex {vertex} fails "
                                          f"certification at n={n}")
-            elif r % modulus:
-                vertices.append(TreeVertex(level, n, nu_int(r % modulus, p)))
+                continue
+            if r % modulus:
+                vertex = TreeVertex(level, n, nu_int(r % modulus, p))
+                if level < max_level or not decided:  # I(q) certifies the last level
+                    decided.append(vertex)
             else:
-                vertices.append(TreeVertex(level, n))
+                vertex = TreeVertex(level, n)
                 next_open.append((n, r))
-        if not vertices:
-            return tree
-        tree.levels.append(vertices)
-        terminals = [v for v in vertices if v.terminal]
-        open_classes = next_open
+            yield vertex
+        terminals, open_classes = decided, next_open
     if terminals:
         _, r = next(islice(stream, q - last - 1, None))
         if r % p == 0:
             raise AssertionError(f"terminal vertex {terminals[0]} fails "
                                  f"certification at n={terminals[0].residue + q}")
-    return tree
+
+
+def build_valuation_tree(p: int, max_level: int) -> ValuationTree:
+    """Leveled refinement of residue classes mod p^level classifying nu_p(I(n)).
+
+    The levels of `_tree_vertices`, certified as that describes; a tree
+    that ends before max_level has no empty levels.
+    """
+    vertices = groupby(_tree_vertices(p, max_level), attrgetter("level"))
+    return ValuationTree(p, [list(level) for _, level in vertices])
 
 
 @dataclass
@@ -291,17 +290,14 @@ def conjecture_check(p: int, max_level: int) -> ConjectureReport:
 
     A level conforms when it has exactly p-1 terminal vertices, all with
     valuation level-1, and exactly one non-terminal vertex.  The outcome is
-    reported, never assumed.
+    reported, never assumed.  Each level is counted as its vertices stream
+    past, and none is held.
     """
-    tree = build_valuation_tree(p, max_level)
     report = ConjectureReport(prime=p, levels=[])
-    for vertices in tree.levels:
-        level = vertices[0].level
-        at_expected = sum(
-            1 for v in vertices if v.terminal and v.valuation == level - 1
-        )
-        other = sum(1 for v in vertices if v.terminal and v.valuation != level - 1)
-        nonterm = sum(1 for v in vertices if not v.terminal)
+    for level, vertices in groupby(_tree_vertices(p, max_level), attrgetter("level")):
+        valuations = Counter(v.valuation for v in vertices)  # None when non-terminal
+        at_expected, nonterm = valuations.pop(level - 1, 0), valuations.pop(None, 0)
+        other = sum(valuations.values())
         holds = at_expected == p - 1 and other == 0 and nonterm == 1
         report.levels.append(
             ConjectureLevelReport(level, at_expected, other, nonterm, holds)

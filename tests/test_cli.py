@@ -500,6 +500,8 @@ def test_error_maps_to_usage_exit(capsys):
     ["asym", "--sweep", "50", "--l", "0"],
     ["restricted", "--n", "200", "--l", "200", "--cycle-index"],
     ["restricted", "--n", "1000", "--l", "3", "--cycle-index", "--format", "json"],
+    ["restricted", "--n", "20", "--l", "100000", "--cycle-index"],
+    ["restricted", "--n", "5", "--l", "10000000", "--determinant"],
 ], ids=lambda argv: "-".join(a.lstrip("-") for a in argv))
 def test_input_refused_before_any_output(argv, capsys):
     assert run(argv) == EXIT_USAGE

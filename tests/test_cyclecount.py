@@ -1,13 +1,14 @@
 import json
 import random
-from itertools import islice, permutations
-from math import factorial, prod
+from itertools import accumulate, islice, permutations
+from math import factorial, isqrt, prod
 
 import pytest
 
 from involutions import cyclecount
 from involutions.cyclecount import (
     CYCLE_INDEX_BUDGET,
+    EXPONENT_BUDGET,
     CycleIndexPoly,
     _poly_mul,
     _terms_upto,
@@ -204,6 +205,38 @@ def test_cycle_index_budget_admits_the_largest_inside(n, l, monkeypatch):
     assert _terms_upto(n, l) <= CYCLE_INDEX_BUDGET
     with pytest.raises(AssertionError, match="built"):
         cycle_index_poly(n, l)
+
+
+@pytest.mark.parametrize("build, n, l", [
+    ("cycle_index_poly", 20, 10**5), ("toeplitz_determinant", 8, 10**6),
+    ("cycle_index_poly", 5, 10**7), ("toeplitz_determinant", 5, 10**7),
+    ("cycle_index_poly", 39, 40),
+])
+def test_exponent_budget_refuses_before_any_work(build, n, l, monkeypatch):
+    # each term holds l exponents: inside the term budget alone, the
+    # determinant at (8, 10^6) took 18 s and 976 MB
+    def no_work(*args):
+        raise AssertionError(f"work started for {args}")
+    monkeypatch.setattr(cyclecount, "cycle_index_polys", no_work)
+    monkeypatch.setattr(cyclecount, "toeplitz_matrix", no_work)
+    with pytest.raises(ValueError, match=f"exponent budget {EXPONENT_BUDGET}$"):
+        getattr(cyclecount, build)(n, l)
+
+
+def test_exponent_budget_admits_every_l_up_to_n_inside_the_term_budget():
+    # (39, 39) has the most exponents of every (n, l <= n) that the term
+    # budget admits; l = 1 has n + 1 <= CYCLE_INDEX_BUDGET
+    n_max = 2 * isqrt(CYCLE_INDEX_BUDGET) - 1  # (n//2 + 1)^2 <= budget
+    ways = [1] * (n_max + 1)  # partitions of m into parts <= l
+    widest = (0, 0, 0)
+    for l in range(2, n_max + 1):
+        for m in range(l, n_max + 1):
+            ways[m] += ways[m - l]
+        terms = list(accumulate(ways))  # terms[n] = _terms_upto(n, l)
+        widest = max([widest] + [(terms[n] * l, n, l) for n in range(l, n_max + 1)
+                                 if terms[n] <= CYCLE_INDEX_BUDGET])
+    assert widest == (39 * _terms_upto(39, 39), 39, 39)
+    assert CYCLE_INDEX_BUDGET <= widest[0] <= EXPONENT_BUDGET < 40 * _terms_upto(39, 40)
 
 
 def test_statistic_matches_counting_formula():

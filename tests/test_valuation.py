@@ -129,7 +129,7 @@ def test_tree_level_1():
     assert [v.residue for v in vertices] == [0, 1, 2, 3, 4]
     for v in vertices[:4]:
         assert v.terminal and v.valuation == 0
-    assert not vertices[4].terminal and vertices[4].to_dict(5)["valuation_or_bound"] == 1
+    assert not vertices[4].terminal and vertices[4].level == 1
 
 
 def test_tree_level_2():
@@ -138,7 +138,7 @@ def test_tree_level_2():
     assert [v.residue for v in level2] == [4, 9, 14, 19, 24]
     for v in level2[:4]:
         assert v.terminal and v.valuation == 1
-    assert not level2[4].terminal and level2[4].to_dict(5)["valuation_or_bound"] == 2
+    assert not level2[4].terminal and level2[4].level == 2
     assert tree.levels[0] == build_valuation_tree(5, 1).levels[0]
 
 
@@ -159,9 +159,17 @@ def test_tree_terminal_certification():
                     assert nu_int(involution_number(n), 5) == v.valuation
 
 
-@pytest.mark.parametrize("perturb", [lambda r, m: 0, lambda r, m: 5 * r % m],
-                         ids=["zero", "times-p"])
-def test_tree_certification_catches_a_corrupt_member(monkeypatch, perturb):
+# a stream patched to 0 or to p times its residue, read by each reader of
+# the vertex stream: both must certify the whole tree
+CORRUPTIONS = pytest.mark.parametrize("perturb, read", [
+    pytest.param(perturb, read, id=name + suffix)
+    for read, suffix in [(build_valuation_tree, ""), (conjecture_check, "-conjecture")]
+    for name, perturb in [("zero", lambda r, m: 0), ("times-p", lambda r, m: 5 * r % m)]
+])
+
+
+@CORRUPTIONS
+def test_tree_certification_catches_a_corrupt_member(monkeypatch, perturb, read):
     # corrupt I(n) mod p^L at the second member of the class of 1 mod 5,
     # which the tree itself never reads: only certification can see it
     stream = valuation.involution_numbers
@@ -172,7 +180,7 @@ def test_tree_certification_catches_a_corrupt_member(monkeypatch, perturb):
 
     monkeypatch.setattr(valuation, "involution_numbers", corrupt)
     with pytest.raises(AssertionError, match="n=6"):
-        build_valuation_tree(5, 3)
+        read(5, 3)
 
 
 def _reference_tree(p, depth):
@@ -249,19 +257,21 @@ def test_mod_sequence_matches_exact_values(modulus):
     ]
 
 
-@pytest.mark.parametrize("p, depth", [(5, 8), (97, 3), (991, 2)])
+@pytest.mark.parametrize("p, depth", [(5, 8), (97, 3), (991, 2), (99991, 1)])
 def test_deep_conjecture_check_runs_in_bounded_memory(run_measured, p, depth):
     # inside the default budget the stream is stepped at most p^depth + 1
     # times (I(n + q) == I(q) I(n) mod q certifies the last level from
-    # I(q) alone), only the residues of open classes are held and no exact
-    # I(n) is built, so the peak stays near the import's 20 MB
+    # I(q) alone), only the residues of open classes are held, each level
+    # is counted as its vertices stream past and no exact I(n) is built,
+    # so the peak stays near the import's 21 MB, even for the 99991
+    # vertices of (99991, 1), which held the whole tree at 32 MB
     proc, peak_kb = run_measured("-m", "involutions.cli", "valuation", "--conjecture",
                                  "--prime", str(p), "--depth", str(depth),
                                  "--format", "json")
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
     assert doc["prime"] == p and len(doc["levels"]) == depth
-    assert peak_kb < 40 * 1024
+    assert peak_kb < 28 * 1024
 
 
 def test_wide_tree_tests_its_prime_once():
@@ -281,9 +291,8 @@ def test_shifted_involution_number_is_a_multiple_mod_q(q):
                for n in range(3 * q))
 
 
-@pytest.mark.parametrize("perturb", [lambda r, m: 0, lambda r, m: 5 * r % m],
-                         ids=["zero", "times-p"])
-def test_tree_certification_catches_p_dividing_I_of_q(monkeypatch, perturb):
+@CORRUPTIONS
+def test_tree_certification_catches_p_dividing_I_of_q(monkeypatch, perturb, read):
     # the last level is certified by I(125) mod 125 alone: plant p | I(q)
     # there, and the least terminal vertex of level 3 fails at t + 125
     last = build_valuation_tree(5, 3).levels[-1]
@@ -296,7 +305,7 @@ def test_tree_certification_catches_p_dividing_I_of_q(monkeypatch, perturb):
 
     monkeypatch.setattr(valuation, "involution_numbers", corrupt)
     with pytest.raises(AssertionError, match=f"n={t + 125}$"):
-        build_valuation_tree(5, 3)
+        read(5, 3)
 
 
 @pytest.mark.parametrize("p, depth", [(5, 1), (5, 4), (13, 3), (19, 4), (3, 2)])
@@ -305,14 +314,20 @@ def test_tree_json_equals_the_sorted_json_dumps(p, depth):
     doc = {
         "schema": "involutions/valuation-tree/1",
         "prime": p,
-        "levels": [[v.to_dict(p) for v in level] for level in tree.levels],
+        "levels": [
+            [{"residue": v.residue, "modulus": p**v.level,
+              "status": "terminal" if v.terminal else "nonterminal",
+              "valuation_or_bound": v.valuation if v.terminal else v.level}
+             for v in level]
+            for level in tree.levels
+        ],
     }
     out = io.StringIO()
     tree.write_json(out)
     assert out.getvalue() == json.dumps(doc, sort_keys=True) + "\n"
-    assert tree.to_json() + "\n" == out.getvalue()
-    empty = valuation.ValuationTree(prime=p)
-    assert empty.to_json() == json.dumps({**doc, "levels": []}, sort_keys=True)
+    out = io.StringIO()
+    valuation.ValuationTree(prime=p).write_json(out)
+    assert out.getvalue() == json.dumps({**doc, "levels": []}, sort_keys=True) + "\n"
 
 
 def test_wide_tree_json_streams_in_bounded_memory(run_measured):
@@ -334,7 +349,9 @@ def test_wide_tree_json_streams_in_bounded_memory(run_measured):
 
 
 def test_tree_json_schema():
-    doc = json.loads(build_valuation_tree(5, 2).to_json())
+    out = io.StringIO()
+    build_valuation_tree(5, 2).write_json(out)
+    doc = json.loads(out.getvalue())
     assert doc["schema"] == "involutions/valuation-tree/1"
     assert doc["prime"] == 5
     assert doc["levels"][0][0] == {
