@@ -205,10 +205,9 @@ def _suite_efficiency(max_n: int):
 
 
 def _suite_tree5(max_n: int):
-    report = valuation.conjecture_check(5, max_n)
-    level1, level2 = report.levels[0], report.levels[1]
-    if not (level1.holds and level2.holds):
-        return "tree levels 1-2 do not match the narrative"
+    for lv in valuation.conjecture_check(5, max_n).levels:
+        if not lv.holds:
+            return f"tree level {lv.level} does not match the narrative"
     return None
 
 
@@ -477,7 +476,7 @@ COMMANDS = {
             lambda a: print(valuation.nu2_partial_sum(a.nu2_partial_sum)), {}),
         "efficiency_scan": Action(_efficiency_scan, {"max": 541}, ("plain", "json")),
         "tree": Action(
-            lambda a: valuation.build_valuation_tree(a.prime, a.depth).write_json(sys.stdout),
+            lambda a: valuation.write_tree_json(a.prime, a.depth, sys.stdout),
             PRIME_AND_DEPTH, ("json",)),
         "conjecture": Action(_conjecture, PRIME_AND_DEPTH, ("plain", "json")),
     },

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import merge
 from itertools import accumulate, groupby, islice, tee
 from operator import attrgetter, eq
@@ -130,29 +130,7 @@ class TreeVertex:
 @dataclass
 class ValuationTree:
     prime: int
-    levels: list[list[TreeVertex]] = field(default_factory=list)
-
-    def write_json(self, out) -> None:
-        """Write the tree as one JSON line to the text stream `out`.
-
-        The bytes are those of json.dumps(doc, sort_keys=True) and a newline,
-        with each vertex as {"modulus": p^level, "residue", "status":
-        "terminal" or "nonterminal", "valuation_or_bound": the valuation, or
-        the level of an open class}, written a vertex at a time by an
-        f-string, so no second copy of the tree is built.
-        """
-        out.write('{"levels": [')
-        for i, level in enumerate(self.levels):
-            modulus = self.prime ** level[0].level
-            out.write(", [" if i else "[")
-            out.writelines(
-                f'{", " if j else ""}{{"modulus": {modulus}, "residue": {v.residue}, '
-                f'"status": "{"nonterminal" if v.valuation is None else "terminal"}", '
-                f'"valuation_or_bound": {v.level if v.valuation is None else v.valuation}}}'
-                for j, v in enumerate(level))
-            out.write("]")
-        out.write(f'], "prime": {self.prime}, '
-                  '"schema": "involutions/valuation-tree/1"}\n')
+    levels: list[list[TreeVertex]]
 
 
 CERTIFY_N = 3  # members certified per terminal vertex below the last level
@@ -235,6 +213,28 @@ def build_valuation_tree(p: int, max_level: int) -> ValuationTree:
     """
     vertices = groupby(_tree_vertices(p, max_level), attrgetter("level"))
     return ValuationTree(p, [list(level) for _, level in vertices])
+
+
+def write_tree_json(p: int, max_level: int, out) -> None:
+    """Write the valuation tree as one JSON line to the text stream `out`.
+
+    The bytes are those of json.dumps(doc, sort_keys=True) and a newline,
+    with each vertex as {"modulus": p^level, "residue", "status":
+    "terminal" or "nonterminal", "valuation_or_bound": the valuation, or
+    the level of an open class}, written as `_tree_vertices` yields it.
+    Nothing is written before the first vertex, and a failed
+    certification raises with the document unfinished.
+    """
+    for level, vertices in groupby(_tree_vertices(p, max_level), attrgetter("level")):
+        modulus = p**level
+        out.write(", [" if level > 1 else '{"levels": [[')
+        out.writelines(
+            f'{", " if j else ""}{{"modulus": {modulus}, "residue": {v.residue}, '
+            f'"status": "{"nonterminal" if v.valuation is None else "terminal"}", '
+            f'"valuation_or_bound": {level if v.valuation is None else v.valuation}}}'
+            for j, v in enumerate(vertices))
+        out.write("]")
+    out.write(f'], "prime": {p}, "schema": "involutions/valuation-tree/1"}}\n')
 
 
 @dataclass

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import re
@@ -20,6 +21,7 @@ from involutions.valuation import (
     nu3_partial_sum,
     nu3_partial_sum_pattern_check,
     periodicity_check,
+    write_tree_json,
 )
 
 INEFFICIENT_62 = [
@@ -159,11 +161,24 @@ def test_tree_terminal_certification():
                     assert nu_int(involution_number(n), 5) == v.valuation
 
 
+def _write_tree_json(p, depth):
+    # the writer has written part of the tree when certification fails:
+    # it must raise with the document unfinished, never closed
+    out = io.StringIO()
+    try:
+        write_tree_json(p, depth, out)
+    except AssertionError:
+        assert out.getvalue().startswith('{"levels": [[')
+        assert "schema" not in out.getvalue()
+        raise
+
+
 # a stream patched to 0 or to p times its residue, read by each reader of
-# the vertex stream: both must certify the whole tree
+# the vertex stream: all three must certify the whole tree
 CORRUPTIONS = pytest.mark.parametrize("perturb, read", [
     pytest.param(perturb, read, id=name + suffix)
-    for read, suffix in [(build_valuation_tree, ""), (conjecture_check, "-conjecture")]
+    for read, suffix in [(build_valuation_tree, ""), (conjecture_check, "-conjecture"),
+                         (_write_tree_json, "-json")]
     for name, perturb in [("zero", lambda r, m: 0), ("times-p", lambda r, m: 5 * r % m)]
 ])
 
@@ -323,16 +338,14 @@ def test_tree_json_equals_the_sorted_json_dumps(p, depth):
         ],
     }
     out = io.StringIO()
-    tree.write_json(out)
+    write_tree_json(p, depth, out)
     assert out.getvalue() == json.dumps(doc, sort_keys=True) + "\n"
-    out = io.StringIO()
-    valuation.ValuationTree(prime=p).write_json(out)
-    assert out.getvalue() == json.dumps({**doc, "levels": []}, sort_keys=True) + "\n"
 
 
 def test_wide_tree_json_streams_in_bounded_memory(run_measured):
-    # the 99991 vertices are written one at a time: building the whole
-    # document first peaked at 76 MB, and at 556 MB for p = 999983
+    # the 99991 vertices are written as they are built, and none is held:
+    # building the whole document first peaked at 76 MB, and holding the
+    # tree while writing it a vertex at a time at 31 MB
     def count_braces(stdout):
         braces, tail = 0, b""
         for chunk in iter(lambda: stdout.read(1 << 16), b""):
@@ -345,12 +358,12 @@ def test_wide_tree_json_streams_in_bounded_memory(run_measured):
     assert proc.returncode == 0, proc.stderr
     assert braces == 99991 + 1  # one per vertex and one for the document
     assert tail.endswith(b'"prime": 99991, "schema": "involutions/valuation-tree/1"}\n')
-    assert peak_kb < 50 * 1024
+    assert peak_kb < 28 * 1024
 
 
 def test_tree_json_schema():
     out = io.StringIO()
-    build_valuation_tree(5, 2).write_json(out)
+    write_tree_json(5, 2, out)
     doc = json.loads(out.getvalue())
     assert doc["schema"] == "involutions/valuation-tree/1"
     assert doc["prime"] == 5
@@ -365,6 +378,20 @@ def test_conjecture_check_5():
     assert [lv.holds for lv in report.levels] == [True] * 4
     assert report.levels[0].n_terminal_at_expected == 4
     assert len(conjecture_check(5, 5).levels) == 5
+
+
+def test_tree5_suite_checks_every_level(monkeypatch):
+    # plant a terminal vertex of valuation 0 at level 4, where every
+    # terminal vertex has valuation 3: the suite must see past level 2
+    vertices = valuation._tree_vertices
+
+    def corrupt(p, max_level):
+        for v in vertices(p, max_level):
+            yield dataclasses.replace(v, valuation=0) if v.level == 4 and v.terminal else v
+
+    monkeypatch.setattr(valuation, "_tree_vertices", corrupt)
+    check, bound = cli.SUITES["tree-5"]
+    assert check(bound) == "tree level 4 does not match the narrative"
 
 
 def test_conjecture_check_13():
@@ -412,7 +439,7 @@ def test_tree_budget_comes_before_any_work(monkeypatch, capsys, p, depth):
     for action in ("--tree", "--conjecture"):
         argv = ["valuation", action, "--prime", str(p), "--depth", str(depth)]
         assert cli.run(argv) == cli.EXIT_USAGE
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_efficiency_scan_budget(monkeypatch):
