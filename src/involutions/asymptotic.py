@@ -1,8 +1,9 @@
 """Saddle-point first-order estimates for bounded-cycle permutation counts.
 
-All floating computations run through mpmath, at DEFAULT_DPS digits or 20
-digits past those of n when that is more, and stay in log-space until the
-end; the exponent-polynomial coefficients are exact rationals.
+Floating computations run through mpmath, except the fixed-point Newton loop
+of `solve_saddle`, at DEFAULT_DPS digits or 20 digits past those of n when
+that is more, and stay in log-space until the end; the exponent-polynomial
+coefficients are exact rationals.
 """
 
 from __future__ import annotations
@@ -42,25 +43,41 @@ def solve_saddle(n: int, l: int) -> SaddleSolution:
     """Unique positive root of r + r^2 + ... + r^l = n.
 
     Newton iteration from n^(1/l), the value and the slope from one Horner
-    pass.  The left side minus n is increasing and convex for r > 0 and
-    nonnegative at the start, so the iterates fall onto the root; the first
-    step that does not fall leaves r at the root to the working precision,
-    20 digits past those of n.  The iterates fall through finitely many
-    numbers of that precision, and a step rounded below the root makes the
-    next one rise, so the loop ends.
+    pass, on ints in fixed point: r = 2^k u with 2^k the largest power of
+    two not above n^(1/l), and U = u 2^bits at the working precision, 20
+    digits past those of n, plus guard bits.  The left side minus n is
+    increasing and convex for r > 0 and nonnegative at the start, so the
+    iterates fall onto the root.  A step subtracts the floor of the Newton
+    correction, nonnegative while the value is at least the target, so the
+    iterates fall strictly; the floor rounds a step up, so an iterate falls
+    below the root only by the Horner pass's rounding error.  The integer
+    iterates are bounded below, and the first step that does not fall
+    leaves r at the root to the working precision.
     """
     if n < 1 or l < 1:
         raise ValueError("requires n >= 1 and l >= 1")
     with mp.workdps(_precision(n)):
-        target = mpf(n)
-        coeffs = [1] * l + [0]
-        r = target ** (mpf(1) / l)
-        while True:
-            value, slope = mpmath.polyval(coeffs, r, derivative=True)
-            step = r - (value - target) / slope
-            if not step < r:
-                return SaddleSolution(n, l, r, value - target)
-            r = step
+        start = mpf(n) ** (mpf(1) / l)
+        # guard bits for the l truncations of a Horner pass
+        bits = mp.prec + l.bit_length() + 4
+    k = max(0, int(start).bit_length() - 1)  # integer parts up to about 2^l, not n
+    one = 1 << bits
+    target = (n << bits) >> (l * k)
+    u = int(mpmath.ldexp(start, bits - k))
+    while True:
+        # u^l + 2^-k u^(l-1) + ... + 2^(-(l-1)k) u, n 2^(-lk) at the root
+        value, slope = one, 0
+        for m in range(1, l):
+            slope = value + (u * slope >> bits)
+            value = (u * value >> bits) + (one >> m * k)
+        slope = value + (u * slope >> bits)
+        value = u * value >> bits
+        step = u - ((value - target) << bits) // slope
+        if not step < u:
+            return SaddleSolution(
+                n, l, mpmath.ldexp(u, k - bits), mpmath.ldexp(value - target, l * k - bits)
+            )
+        u = step
 
 
 def log_factorial(n: int) -> mpmath.mpf:

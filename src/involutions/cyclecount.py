@@ -84,8 +84,8 @@ def restricted_count(n: int, l: int) -> int:
     for m in range(n):
         # d(m+1) = sum_{j=0}^{l-1} m!/(m-j)! d(m-j), in Horner form
         # d(m) + m (d(m-1) + (m-1) (d(m-2) + ...)): big times small only
-        acc = 0
-        for j in range(len(window) - 1, -1, -1):
+        acc = window[-1]
+        for j in range(len(window) - 2, -1, -1):
             acc = window[j] + (m - j) * acc
         window.appendleft(acc)
     return window[0]

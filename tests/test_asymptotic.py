@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 from fractions import Fraction
 from math import factorial, prod
 
@@ -57,8 +58,11 @@ def test_solve_saddle_residual_bound():
 
 @pytest.mark.parametrize("l", [1, 2, 3, 4, 5, 7, 30, 200])
 def test_solve_saddle_root_holds_at_twice_the_precision(l, monkeypatch):
-    ns = (1, 2, 10, 12, 601, 10**6, 10**29, 10**40, 10**5000)
+    ns = (1, 2, l, 10, 12, 601, 10**6, 10**29, 10**40, 10**5000)
     roots = [solve_saddle(n, l).r_plus for n in ns]
+    # at n = l the root is 1, where the geometric form r(r^l - 1)/(r - 1)
+    # loses its digits
+    assert abs(roots[2] - 1) < mpmath.mpf(10) ** (1 - _precision(l))
     monkeypatch.setattr(asymptotic, "_precision", lambda n: 2 * _precision(n))
     for n, root in zip(ns, roots):
         bound = mpmath.mpf(10) ** (1 - _precision(n))
@@ -70,6 +74,56 @@ def test_solve_saddle_root_holds_at_twice_the_precision(l, monkeypatch):
             below, above = (mpmath.polyval([1] * l + [0], root * (1 + s * bound)) - n
                             for s in (-1, 1))
             assert below < 0 < above
+
+
+def test_solve_saddle_root_below_one_at_n_1():
+    # the fixed-point scale is 2^0 there, and the iterates fall from the start 1
+    for l in range(2, 201):
+        sol = solve_saddle(1, l)
+        assert 0 < sol.r_plus < 1
+        assert abs(sol.residual) < 1e-30
+
+
+# mpmath.nstr(solve_saddle(10**e, l).r_plus, 17), as `asym --saddle` prints it,
+# recorded from the mpmath Newton loop that the fixed-point one replaced
+SADDLE_GOLDEN = {
+    (2, 2): "9.5124921972503929", (2, 3): "4.2644299731284752",
+    (2, 4): "2.8492183104342324", (2, 5): "2.239643172822991",
+    (5, 2): "315.7281613012984", (5, 3): "46.077807486765802",
+    (5, 4): "17.523524438032296", (5, 5): "9.7867598700969422",
+    (8, 2): "9999.5000125", (8, 3): "463.82507166580548",
+    (8, 4): "99.74842193701149", (8, 5): "39.607630165085565",
+    (11, 2): "316227.26601723322", (11, 3): "4641.2554524071304",
+    (11, 4): "562.09104684043409", (11, 5): "158.28855760722347",
+    (14, 2): "9999999.5000000125", (14, 3): "46415.554998006863",
+    (14, 4): "3162.0276107421679", (14, 5): "630.75715401118233",
+    (17, 2): "316227765.51683793", (17, 3): "464158.55002746579",
+    (17, 4): "17782.544091602151", (17, 5): "2511.686383718961",
+    (20, 2): "9999999999.5", (20, 3): "4641588.5002793977",
+    (20, 4): "99999.749998437484", (20, 5): "9999.7999879988799",
+    (23, 2): "316227766016.33793", (23, 3): "46415888.002794451",
+    (23, 4): "562341.07519007122", (23, 5): "39810.517052335391",
+    (26, 2): "9999999999999.5", (26, 3): "464158883.02794456",
+    (26, 4): "3162277.4101683299", (26, 5): "158489.1192453542",
+}
+
+
+def test_solve_saddle_golden_table():
+    printed = {(e, l): mpmath.nstr(solve_saddle(10**e, l).r_plus, 17) for e, l in SADDLE_GOLDEN}
+    assert printed == SADDLE_GOLDEN
+
+
+def test_solve_saddle_memory_does_not_grow_with_l():
+    # a list of the l + 1 coefficients would hold 40 kB here (80 kB while it
+    # is concatenated); the loop itself holds a few ints.  Under tracemalloc
+    # the int loop runs about 30 times slower, so l stays small
+    tracemalloc.start()
+    try:
+        solve_saddle(10, 5000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20_000, peak
 
 
 def test_precision_counts_the_digits_of_n():
