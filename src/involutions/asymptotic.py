@@ -19,6 +19,7 @@ from .cyclecount import restricted_count
 from .series import TruncatedEGF, series_mul
 
 DEFAULT_DPS = 40
+SADDLE_BUDGET = 10**4  # largest l: a Newton step is an l-term Horner pass; (10, 10^4) takes 0.07 s
 
 
 def _precision(n: int) -> int:
@@ -52,10 +53,13 @@ def solve_saddle(n: int, l: int) -> SaddleSolution:
     iterates fall strictly; the floor rounds a step up, so an iterate falls
     below the root only by the Horner pass's rounding error.  The integer
     iterates are bounded below, and the first step that does not fall
-    leaves r at the root to the working precision.
+    leaves r at the root to the working precision.  An l past SADDLE_BUDGET
+    is refused before any work.
     """
     if n < 1 or l < 1:
         raise ValueError("requires n >= 1 and l >= 1")
+    if l > SADDLE_BUDGET:
+        raise ValueError(f"l = {l} exceeds the saddle budget {SADDLE_BUDGET}")
     with mp.workdps(_precision(n)):
         start = mpf(n) ** (mpf(1) / l)
         # guard bits for the l truncations of a Horner pass

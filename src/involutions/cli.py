@@ -103,8 +103,8 @@ def _beta(args) -> None:
 
 
 def _sweep(args) -> int | None:
-    if min(args.sweep) < 1 or args.l < 1:
-        return _usage("asym --sweep: every n and l must be >= 1")
+    if min(args.sweep) < 1 or not 1 <= args.l <= asymptotic.SADDLE_BUDGET:
+        return _usage(f"asym --sweep: every n must be >= 1 and l in 1..{asymptotic.SADDLE_BUDGET}")
     print("n,l,exact,estimate,ratio,log_error")
     for n in args.sweep:
         print(f"... n={n}", file=sys.stderr)

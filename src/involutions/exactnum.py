@@ -59,18 +59,43 @@ def as_partition(parts) -> tuple[int, ...]:
 
 
 def partitions(n: int) -> Iterator[tuple[int, ...]]:
-    """Partitions of n in reverse-lexicographic order, largest part first."""
+    """Partitions of n in reverse-lexicographic order, largest part first.
+
+    Zoghbi and Stojmenovic's ZS1 (Int. J. Comput. Math. 70, 1998) steps one
+    array in place: x[:m+1] is the partition and x[h] its last part above 1.
+    A step lowers x[h] by one and spreads the freed units, with the trailing
+    ones, as parts of the new x[h] and one remainder.
+    """
     if n < 0:
         raise ValueError("partitions of negative n")
-
-    def gen(remaining: int, cap: int, prefix: tuple[int, ...]):
-        if remaining == 0:
-            yield prefix
-            return
-        for part in range(min(cap, remaining), 0, -1):
-            yield from gen(remaining - part, part, prefix + (part,))
-
-    yield from gen(n, n, ())
+    if n == 0:
+        yield ()
+        return
+    x = [1] * n
+    x[0] = n
+    m = h = 0
+    yield (n,)
+    while x[0] != 1:
+        if x[h] == 2:
+            m += 1
+            x[h] = 1
+            h -= 1
+        else:
+            r = x[h] - 1
+            t = m - h + 1
+            x[h] = r
+            while t >= r:
+                h += 1
+                x[h] = r
+                t -= r
+            if t == 0:
+                m = h
+            else:
+                m = h + 1
+                if t > 1:
+                    h += 1
+                    x[h] = t
+        yield tuple(x[: m + 1])
 
 
 def multinomial(n: int, lam) -> int:

@@ -28,17 +28,17 @@ def partial_sum(n: int) -> int:
 def partial_sum_by_binomial(n: int) -> int:
     """The shifted-binomial form  sum_k (2k)!/(k! 2^k) C(n+1, 2k+1).
 
-    (2k-1)!! and C(n+1, 2k+1) are carried from term k to term k+1 by their
-    exact integer ratios 2k+1 and (n-2k)(n-2k-1) / ((2k+2)(2k+3)).
+    The whole term s(k) = (2k-1)!! C(n+1, 2k+1) is carried from s(0) = n+1
+    by its exact ratio s(k)/s(k-1) = (2k-1)(n-2k+2)(n-2k+1) / ((2k)(2k+1)):
+    the small factors are multiplied first, so a term costs one big-by-small
+    product and one exact division by a small int.
     """
     if n < 0:
         raise ValueError("requires n >= 0")
-    total = 0
-    odd, c = 1, n + 1
-    for k in range(n // 2 + 1):
-        total += odd * c
-        odd *= 2 * k + 1
-        c = c * (n - 2 * k) * (n - 2 * k - 1) // ((2 * k + 2) * (2 * k + 3))
+    total = term = n + 1
+    for k in range(1, n // 2 + 1):
+        term = term * ((2 * k - 1) * (n - 2 * k + 2) * (n - 2 * k + 1)) // (2 * k * (2 * k + 1))
+        total += term
     return total
 
 

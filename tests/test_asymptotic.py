@@ -138,6 +138,20 @@ def test_precision_counts_the_digits_of_n():
     assert [_precision(n) for n in ns] == expected
 
 
+@pytest.mark.parametrize("solve", [solve_saddle, estimate_saddle])
+def test_saddle_budget_refuses_before_any_work(solve, monkeypatch):
+    # the working precision and the mpf start both come before the Newton loop
+    def no_work(*args):
+        raise AssertionError("saddle work began")
+    monkeypatch.setattr(asymptotic, "_precision", no_work)
+    monkeypatch.setattr(asymptotic, "mpf", no_work)
+    budget = asymptotic.SADDLE_BUDGET
+    with pytest.raises(ValueError, match=f"saddle budget {budget}$"):
+        solve(10, budget + 1)
+    with pytest.raises(AssertionError, match="saddle work began"):
+        solve(10, budget)
+
+
 def test_solve_saddle_preconditions():
     with pytest.raises(ValueError):
         solve_saddle(0, 2)

@@ -502,6 +502,9 @@ def test_error_maps_to_usage_exit(capsys):
     ["restricted", "--n", "1000", "--l", "3", "--cycle-index", "--format", "json"],
     ["restricted", "--n", "20", "--l", "100000", "--cycle-index"],
     ["restricted", "--n", "5", "--l", "10000000", "--determinant"],
+    ["asym", "--n", "10", "--l", "1000000000"],
+    ["asym", "--saddle", "--n", "10", "--l", "1000000000"],
+    ["asym", "--sweep", "10", "--l", "10001"],
 ], ids=lambda argv: "-".join(a.lstrip("-") for a in argv))
 def test_input_refused_before_any_output(argv, capsys):
     assert run(argv) == EXIT_USAGE

@@ -1,5 +1,6 @@
 import io
 import json
+from itertools import permutations
 from math import factorial
 
 import pytest
@@ -8,12 +9,26 @@ from involutions import cyclecount, oracle
 from involutions.cli import SUITES
 from involutions.cyclecount import CycleIndexPoly, cycle_index_poly, restricted_count
 from involutions.involution import involution_number, involution_poly
-from involutions.oracle import (
-    census_cycle_index_terms,
-    cycle_type,
-    enumerate_census,
-    partition_census,
-)
+from involutions.oracle import census_cycle_index_terms, enumerate_census, partition_census
+
+
+def cycle_type(perm: tuple[int, ...]) -> tuple[int, ...]:
+    """Cycle type of a permutation given in one-line notation on 0..n-1: the
+    walk the census made per permutation before it tallied integer codes,
+    kept here as the reference."""
+    seen = [False] * len(perm)
+    lengths = []
+    for start in range(len(perm)):
+        if seen[start]:
+            continue
+        length = 0
+        j = start
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            length += 1
+        lengths.append(length)
+    return tuple(sorted(lengths, reverse=True))
 
 
 def test_cycle_type_examples():
@@ -21,6 +36,15 @@ def test_cycle_type_examples():
     assert cycle_type((1, 0, 2)) == (2, 1)
     assert cycle_type((1, 2, 3, 4, 0)) == (5,)
     assert cycle_type(()) == ()
+
+
+def test_census_codes_decode_to_the_reference_cycle_types():
+    for n in range(8):
+        counts = {}
+        for perm in permutations(range(n)):
+            key = cycle_type(perm)
+            counts[key] = counts.get(key, 0) + 1
+        assert enumerate_census(n).counts == counts
 
 
 def test_enumeration_totals():

@@ -137,3 +137,11 @@ def test_carried_sums_equal_the_binomial_formulas():
                     (2 * j + alpha) ** beta * term(k, j) for j in range(2 * k))
     for k in range(1, 26):
         assert b_k(k) == sum(Fraction(term(k, j), 2 * j + 1) for j in range(2 * k))
+    # the binomial form of a(n), whose whole term is carried by its ratio
+    for n in range(301):
+        assert partial_sum_by_binomial(n) == sum(
+            double_factorial_odd(k) * comb(n + 1, 2 * k + 1) for k in range(n // 2 + 1))
+
+
+def test_binomial_form_equals_the_running_sums():
+    assert [partial_sum_by_binomial(n) for n in range(601)] == list(islice(partial_sums(), 601))
