@@ -34,8 +34,6 @@ def _precision(n: int) -> int:
 
 @dataclass
 class SaddleSolution:
-    n: int
-    l: int
     r_plus: mpmath.mpf
     residual: mpmath.mpf
 
@@ -78,9 +76,8 @@ def solve_saddle(n: int, l: int) -> SaddleSolution:
         value = u * value >> bits
         step = u - ((value - target) << bits) // slope
         if not step < u:
-            return SaddleSolution(
-                n, l, mpmath.ldexp(u, k - bits), mpmath.ldexp(value - target, l * k - bits)
-            )
+            return SaddleSolution(mpmath.ldexp(u, k - bits),
+                                  mpmath.ldexp(value - target, l * k - bits))
         u = step
 
 
@@ -96,8 +93,6 @@ def log_factorial(n: int) -> mpmath.mpf:
 
 @dataclass
 class SaddleEstimate:
-    n: int
-    l: int
     r_plus: mpmath.mpf
     log_value: mpmath.mpf
 
@@ -120,7 +115,7 @@ def estimate_saddle(n: int, l: int) -> SaddleEstimate:
             + mpmath.fsum(r**j / j for j in range(1, l + 1))
             - n * mpmath.ln(r)
         )
-        return SaddleEstimate(n, l, r, log_value)
+        return SaddleEstimate(r, log_value)
 
 
 def log_exact_count(n: int, l: int) -> mpmath.mpf:
@@ -195,9 +190,6 @@ class ClosedFormEstimate:
     by the factor e^n; reporting both makes the discrepancy measurable.
     """
 
-    n: int
-    l: int
-    beta_source: str
     betas: dict[int, Fraction]
     log_printed: mpmath.mpf
     log_stirling: mpmath.mpf
@@ -226,7 +218,7 @@ def estimate_closed_form(n: int, l: int, beta_source: str = "extracted") -> Clos
             + exponent
         )
         log_stirling = log_printed - nn
-    return ClosedFormEstimate(n, l, beta_source, betas, log_printed, log_stirling)
+    return ClosedFormEstimate(betas, log_printed, log_stirling)
 
 
 def phi_at(n: int, l: int) -> mpmath.mpf:

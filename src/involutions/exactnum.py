@@ -50,14 +50,6 @@ def primes_upto(bound: int) -> list[int]:
     return [p for p in range(bound + 1) if sieve[p]]
 
 
-def as_partition(parts) -> tuple[int, ...]:
-    """Validate and canonicalize a partition (weakly decreasing positive parts)."""
-    parts = tuple(sorted((int(p) for p in parts), reverse=True))
-    if any(p <= 0 for p in parts):
-        raise ValueError(f"partition parts must be positive: {parts}")
-    return parts
-
-
 def partitions(n: int) -> Iterator[tuple[int, ...]]:
     """Partitions of n in reverse-lexicographic order, largest part first.
 
@@ -99,8 +91,10 @@ def partitions(n: int) -> Iterator[tuple[int, ...]]:
 
 
 def multinomial(n: int, lam) -> int:
-    """n! / prod(part!) for a partition lam of n."""
-    lam = as_partition(lam)
+    """n! / prod(part!) for a partition lam of n, its parts in any order."""
+    lam = tuple(lam)
+    if any(part <= 0 for part in lam):
+        raise ValueError(f"partition parts must be positive: {lam}")
     if sum(lam) != n:
         raise ValueError(f"partition {lam} does not sum to {n}")
     result = math.factorial(n)

@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass
 from itertools import permutations as iter_permutations
 
-from .exactnum import as_partition, partitions
+from .exactnum import partitions
 
 ENUMERATION_CAP = 9  # 9! = 362880 permutations
 CENSUS_BUDGET = 50  # p(50) = 204226 entries: about 2 s and 93 MB as a process; memory grows as p(n)
@@ -19,9 +19,6 @@ class CycleCensus:
 
     n: int
     counts: dict[tuple[int, ...], int]
-
-    def total(self) -> int:
-        return sum(self.counts.values())
 
     def write_json(self, out) -> None:
         """Write the census as one JSON line to the text stream `out`.
@@ -77,24 +74,6 @@ def enumerate_census(n: int) -> CycleCensus:
     return CycleCensus(n, counts)
 
 
-def _type_count(n_factorial: int, lam: tuple[int, ...]) -> int:
-    # a part t that is the e-th of its run divides out t * e: prod t^et * et!
-    denom, run, prev = 1, 0, 0
-    for part in lam:
-        run = run + 1 if part == prev else 1
-        prev = part
-        denom *= part * run
-    return n_factorial // denom
-
-
-def cycle_type_count(n: int, cycle_type) -> int:
-    """n! / prod(t^et * et!): permutations of the given cycle type."""
-    lam = as_partition(cycle_type)
-    if sum(lam) != n:
-        raise ValueError(f"cycle type {lam} does not partition {n}")
-    return _type_count(math.factorial(n), lam)
-
-
 def partition_census(n: int) -> CycleCensus:
     """Census from the counting formula, one partition at a time, for n <= CENSUS_BUDGET."""
     if n < 0:
@@ -102,7 +81,16 @@ def partition_census(n: int) -> CycleCensus:
     if n > CENSUS_BUDGET:
         raise ValueError(f"n = {n} exceeds the census budget {CENSUS_BUDGET}")
     n_factorial = math.factorial(n)
-    return CycleCensus(n, {lam: _type_count(n_factorial, lam) for lam in partitions(n)})
+    counts: dict[tuple[int, ...], int] = {}
+    for lam in partitions(n):
+        # a part t that is the e-th of its run divides out t * e: prod t^et * et!
+        denom, run, prev = 1, 0, 0
+        for part in lam:
+            run = run + 1 if part == prev else 1
+            prev = part
+            denom *= part * run
+        counts[lam] = n_factorial // denom
+    return CycleCensus(n, counts)
 
 
 def census_cycle_index_terms(census: CycleCensus, l: int) -> dict[tuple[int, ...], int]:

@@ -72,10 +72,7 @@ class TruncatedEGF:
         )
 
     def __sub__(self, other: "TruncatedEGF") -> "TruncatedEGF":
-        order = min(self.order, other.order)
-        return TruncatedEGF(
-            [self.coeffs[n] - other.coeffs[n] for n in range(order + 1)], order
-        )
+        return self + -other
 
     def __neg__(self) -> "TruncatedEGF":
         return TruncatedEGF([-c for c in self.coeffs], self.order)

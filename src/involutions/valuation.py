@@ -129,7 +129,6 @@ class TreeVertex:
 
 @dataclass
 class ValuationTree:
-    prime: int
     levels: list[list[TreeVertex]]
 
 
@@ -212,7 +211,7 @@ def build_valuation_tree(p: int, max_level: int) -> ValuationTree:
     that ends before max_level has no empty levels.
     """
     vertices = groupby(_tree_vertices(p, max_level), attrgetter("level"))
-    return ValuationTree(p, [list(level) for _, level in vertices])
+    return ValuationTree([list(level) for _, level in vertices])
 
 
 def write_tree_json(p: int, max_level: int, out) -> None:

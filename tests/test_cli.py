@@ -5,6 +5,7 @@ import json
 import subprocess
 import sys
 
+import mpmath
 import pytest
 
 from involutions import cli
@@ -249,6 +250,13 @@ def test_valuation_efficiency_scan(capsys):
     assert out_lines(capsys) == ["5", "13", "19", "23", "29", "31", "43"]
 
 
+def test_valuation_efficiency_scan_json(capsys):
+    assert run(["valuation", "--efficiency-scan", "--max", "50", "--format", "json"]) == EXIT_OK
+    assert capsys.readouterr().out == json.dumps(
+        {"schema": "involutions/inefficient-primes/1", "bound": 50,
+         "primes": [5, 13, 19, 23, 29, 31, 43]}, sort_keys=True) + "\n"
+
+
 def test_valuation_tree_json(capsys):
     assert run(["valuation", "--tree", "--prime", "5", "--depth", "2"]) == EXIT_OK
     doc = json.loads(out_lines(capsys)[0])
@@ -472,6 +480,122 @@ def test_fixed_bound_suites_read_their_bound(monkeypatch):
     assert ("inefficient_primes_upto", 100) in seen and ("conjecture_check", 5, 3) in seen
     assert max(n for name, n, *_ in seen if name == "partial_sum") == 4 * 10 - 1
     assert ("log_exact_count", 500, 2) in seen
+
+
+def _off_at(point, by=1):
+    """Wrap a function so that its value at the arguments `point` is off by `by`."""
+    return lambda right: lambda *args: right(*args) + (by if args == point else 0)
+
+
+def _census_off_at_4(right):
+    def census(n):
+        result = right(n)
+        if n == 4:
+            result.counts[(2, 2)] += 1
+        return result
+    return census
+
+
+def _inhomogeneous_at_4_3(right):
+    # g(4) for l = 3 gains the monomial Y1^5, of degree 5
+    def polys(l):
+        for n, poly in enumerate(right(l)):
+            yield (cli.cyclecount.CycleIndexPoly(l, {**poly.terms, (5, 0, 0): 1})
+                   if (n, l) == (4, 3) else poly)
+    return polys
+
+
+def _determinant_off_at_4_2(right):
+    def determinant(n, l):
+        det = right(n, l)
+        if (n, l) == (4, 2):
+            det = cli.cyclecount.CycleIndexPoly(l, {**det.terms, (4, 0): det.terms[(4, 0)] + 1})
+        return det
+    return determinant
+
+
+def _involution_egf_off_at_3(right):
+    def egf(order):
+        f = right(order)
+        f.coeffs[3] += 1
+        return f
+    return egf
+
+
+def _residual_off_at_200_3(right):
+    def solve(n, l):
+        sol = right(n, l)
+        if (n, l) == (200, 3):
+            sol.residual = mpmath.mpf(1)
+        return sol
+    return solve
+
+
+def _log_error_of_1_then_one_half(right):
+    # the log of the exact count, read as the estimate plus 1 at n = 100 and
+    # plus 1/2 at n = 1000, exactly, so the log error falls but the ratio is e^(-1/2)
+    def log_exact(n, l):
+        with mpmath.mp.workdps(100):
+            return cli.asymptotic.estimate_saddle(n, l).log_value + {100: 1, 1000: 0.5}[n]
+    return log_exact
+
+
+WRONG_VALUES = [
+    ("tables", "involution.involution_number", _off_at((3,)), "involution table mismatch at n=3"),
+    ("tables", "partialsum.partial_sum", _off_at((3,)), "partial sum table mismatch at n=3"),
+    ("involution-forms", "involution.involution_number_by_sum", _off_at((5,)),
+     "finite sum disagrees at n=5"),
+    ("involution-forms", "involution.involution_number_bisplit", _off_at((2, 3)),
+     "bisplit disagrees at n=5"),
+    ("partial-sum-forms", "partialsum.partial_sum", _off_at((5,)),
+     "recurrence vs running sum at n=5"),
+    ("partial-sum-forms", "partialsum.partial_sum_by_binomial", _off_at((5,)),
+     "binomial form disagrees at n=5"),
+    ("cauchy", "partialsum.cauchy_alternating_sum", _off_at((7,)),
+     "odd alternating sum mismatch at m=3"),
+    ("nu2-involution", "valuation.nu2_involution_floor", _off_at((5,)),
+     "nu2 involution mismatch at n=5"),
+    ("nu2-partial-sum", "valuation.nu2_partial_sum", _off_at((5,)),
+     "nu2 partial sum mismatch at n=5"),
+    ("periodicity", "valuation.periodicity_check",
+     lambda right: lambda p, r, n: right(p, r, n) and (p, r) != (5, 2),
+     "periodicity fails at p=5, r=2"),
+    # a truthy non-bool at p = 7 leaves the scan's 62 inefficient primes as they are
+    ("efficiency", "valuation.is_efficient", lambda right: lambda p: 1 if p == 7 else right(p),
+     "3 and 7 must be efficient"),
+    ("f-sum", "partialsum.F_sum", _off_at((1, 2, 3)), "F valuation mismatch at (a=1, b=2, k=3)"),
+    ("f-sum", "partialsum.b_k", _off_at((4,)), "nu2(b) mismatch at k=4"),
+    ("f-sum", "partialsum.partial_sum", _off_at((11,)), "4k*b != a(4k-1) at k=3"),
+    ("nu3-pattern", "valuation.nu3_partial_sum", _off_at((5,)), "observed nu3 pattern fails"),
+    ("oracle", "oracle.partition_census", _census_off_at_4, "census mismatch at n=4"),
+    ("cycle-index", "cyclecount.cycle_index_polys", _inhomogeneous_at_4_3,
+     "inhomogeneous cycle index at (n=4, l=3)"),
+    ("cycle-index", "cyclecount.restricted_count", _off_at((5, 2)),
+     "coefficient sum mismatch at (n=5, l=2)"),
+    ("toeplitz", "cyclecount.toeplitz_determinant", _determinant_off_at_4_2,
+     "determinant mismatch at (n=4, l=2)"),
+    ("egf", "series.involution_egf", _involution_egf_off_at_3, "involution EGF mismatch at n=3"),
+    ("egf", "cyclecount.restricted_count", _off_at((5, 3)),
+     "restricted EGF mismatch at (n=5, l=3)"),
+    ("asymptotic", "asymptotic.solve_saddle", _residual_off_at_200_3,
+     "saddle residual too large at (n=200, l=3)"),
+    ("asymptotic", "asymptotic.log_exact_count", _off_at((1000, 2), 2),
+     "log error not shrinking between n=100 and n=1000"),
+    ("asymptotic", "asymptotic.log_exact_count", _log_error_of_1_then_one_half,
+     f"ratio at n=1000 out of range: {float(mpmath.exp(mpmath.mpf(-0.5)))}"),
+    ("asymptotic", "asymptotic.beta_series_extraction", _off_at((2, 1)),
+     "extracted beta_1 at l=2 is not 1"),
+]
+
+
+@pytest.mark.parametrize("suite, target, wrong, counterexample", WRONG_VALUES,
+                         ids=[f"{suite}-{target.split('.')[1]}" for suite, target, *_ in WRONG_VALUES])
+def test_suites_catch_one_wrong_value(suite, target, wrong, counterexample, monkeypatch):
+    module, name = target.split(".")
+    right = getattr(getattr(cli, module), name)
+    monkeypatch.setattr(getattr(cli, module), name, wrong(right))
+    check, bound = SUITES[suite]
+    assert check(bound) == counterexample
 
 
 def test_verify_single_suite(capsys):

@@ -20,7 +20,7 @@ from involutions.cyclecount import (
 )
 from involutions.exactnum import partitions
 from involutions.involution import involution_number, involution_poly
-from involutions.oracle import census_cycle_index_terms, cycle_type_count, enumerate_census
+from involutions.oracle import census_cycle_index_terms, enumerate_census, partition_census
 
 EXAMPLE_5_4 = CycleIndexPoly(4, {
     (5, 0, 0, 0): 1,
@@ -242,17 +242,18 @@ def test_exponent_budget_admits_every_l_up_to_n_inside_the_term_budget():
 def test_statistic_matches_counting_formula():
     # each coefficient of g(n) counts one cycle type, as n!/prod(t^et * et!) does
     for n in range(1, 9):
+        counts = partition_census(n).counts
         for lam in partitions(n):
             exps = [0] * lam[0]
             for part in lam:
                 exps[part - 1] += 1
-            assert cycle_index_poly(n, lam[0]).terms[tuple(exps)] == cycle_type_count(n, lam)
+            assert cycle_index_poly(n, lam[0]).terms[tuple(exps)] == counts[lam]
 
 
 def test_cycle_type_count_examples():
-    assert cycle_type_count(5, (3, 2)) == 20
-    assert cycle_type_count(8, (2, 2, 2, 2)) == 105
-    assert cycle_type_count(6, (1, 1, 1, 1, 1, 1)) == 1
+    assert partition_census(5).counts[(3, 2)] == 20
+    assert partition_census(8).counts[(2, 2, 2, 2)] == 105
+    assert partition_census(6).counts[(1, 1, 1, 1, 1, 1)] == 1
 
 
 def test_json_and_str():

@@ -1,4 +1,5 @@
 import decimal
+import re
 import sys
 import threading
 from itertools import islice
@@ -8,9 +9,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from involutions import involution
-from involutions.cli import _EXACT, SUITES
-from involutions.exactnum import nu_int
+from involutions.asymptotic import beta_series_extraction
+from involutions.cli import _EXACT, EXIT_USAGE, SUITES, run
+from involutions.cyclecount import restricted_count, toeplitz_matrix
+from involutions.exactnum import multinomial, nu_int, partitions
 from involutions.involution import (
+    POLY_BUDGET,
     Cursor,
     double_factorial_odd,
     hermite_poly,
@@ -22,7 +26,18 @@ from involutions.involution import (
     involution_terms,
     umbral_derivative_coeffs,
 )
-from involutions.partialsum import partial_sum_by_binomial
+from involutions.oracle import partition_census
+from involutions.partialsum import F_sum, partial_sum_by_binomial
+from involutions.series import TruncatedEGF
+from involutions.valuation import (
+    build_valuation_tree,
+    inefficient_primes_upto,
+    nu2_involution,
+    nu2_involution_floor,
+    nu2_partial_sum,
+    nu3_partial_sum,
+    periodicity_check,
+)
 
 KNOWN_TABLE = [1, 1, 2, 4, 10, 26, 76, 232, 764, 2620, 9496]
 
@@ -254,6 +269,49 @@ def test_suites_catch_a_wrong_involution_poly_coefficient(suite, k, counterexamp
 def test_negative_n_is_refused_not_read_as_an_empty_sum(call):
     with pytest.raises(ValueError, match=r"^requires [nm] >= 0"):
         call()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: nu2_involution(-1), "requires n >= 0"),
+    (lambda: nu2_involution_floor(-1), "requires n >= 0"),
+    (lambda: nu2_partial_sum(-1), "requires n >= 0"),
+    (lambda: nu3_partial_sum(-1), "requires n >= 0"),
+    (lambda: inefficient_primes_upto(2), "requires bound >= 3"),
+    (lambda: periodicity_check(9, 1, 10), "9 is not prime"),
+    (lambda: build_valuation_tree(5, 0), "requires max_level >= 1"),
+    (lambda: build_valuation_tree(2, 1), "2 is not an odd prime"),
+    (lambda: build_valuation_tree(9, 1), "9 is not an odd prime"),
+    (lambda: restricted_count(-1, 2), "requires n >= 0 and l >= 1"),
+    (lambda: restricted_count(3, 0), "requires n >= 0 and l >= 1"),
+    (lambda: toeplitz_matrix(-1, 2), "requires n >= 0 and l >= 1"),
+    (lambda: toeplitz_matrix(3, 0), "requires n >= 0 and l >= 1"),
+    (lambda: list(partitions(-1)), "partitions of negative n"),
+    (lambda: partition_census(-1), "requires n >= 0"),
+    (lambda: F_sum(1, -1, 1), "requires beta >= 0"),
+    (lambda: TruncatedEGF([1], -1), "order must be >= 0"),
+    (lambda: beta_series_extraction(3, 0), "requires 0 < k < l"),
+    (lambda: beta_series_extraction(3, 3), "requires 0 < k < l"),
+    (lambda: multinomial(4, (4, 0)), "partition parts must be positive: (4, 0)"),
+], ids=["nu2_involution", "nu2_floor", "nu2_partial_sum", "nu3_partial_sum", "scan_bound",
+        "periodicity_composite", "tree_level", "tree_p2", "tree_composite", "restricted_n",
+        "restricted_l", "toeplitz_n", "toeplitz_l", "partitions", "census", "F_sum_beta",
+        "egf_order", "beta_k0", "beta_kl", "multinomial_part"])
+def test_input_outside_the_domain_is_refused(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_polynomials_past_the_budget_are_refused_before_any_term(monkeypatch, capsys):
+    def no_terms(n):
+        raise AssertionError(f"the terms of {n} were built")
+
+    monkeypatch.setattr(involution, "involution_terms", no_terms)
+    n = POLY_BUDGET + 1
+    for build in (involution_poly, hermite_poly):
+        with pytest.raises(ValueError, match=f"^n = {n} exceeds the polynomial budget {POLY_BUDGET}$"):
+            build(n)
+    assert run(["invol", "--n", str(n), "--poly"]) == EXIT_USAGE
+    assert capsys.readouterr().out == ""
 
 
 def test_umbral_examples():

@@ -49,7 +49,7 @@ def test_census_codes_decode_to_the_reference_cycle_types():
 
 def test_enumeration_totals():
     for n in range(8):
-        assert enumerate_census(n).total() == factorial(n)
+        assert sum(enumerate_census(n).counts.values()) == factorial(n)
 
 
 def test_enumeration_matches_formula():
@@ -59,7 +59,7 @@ def test_enumeration_matches_formula():
 
 def test_partition_census_larger_n():
     census = partition_census(20)
-    assert census.total() == factorial(20)
+    assert sum(census.counts.values()) == factorial(20)
     assert sum(census_cycle_index_terms(census, 2).values()) == involution_number(20)
 
 
