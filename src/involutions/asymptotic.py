@@ -16,7 +16,6 @@ import mpmath
 from mpmath import mp, mpf
 
 from .cyclecount import restricted_count
-from .series import TruncatedEGF, series_mul
 
 DEFAULT_DPS = 40
 SADDLE_BUDGET = 10**4  # largest l: a Newton step is an l-term Horner pass; (10, 10^4) takes 0.07 s
@@ -145,7 +144,7 @@ def eta_power_laurent(l: int, k: int, order: int) -> list[Fraction]:
         a[l * m] = _binomial_fraction(e, m) * (-1) ** m
     # (1 - x)^(-e) = sum C(e+m-1, m) x^m
     b = [_binomial_fraction(e + m - 1, m) for m in range(order + 1)]
-    return series_mul(TruncatedEGF(a), TruncatedEGF(b)).coeffs
+    return [sum(a[i] * b[n - i] for i in range(n + 1)) for n in range(order + 1)]
 
 
 def beta_series_extraction(l: int, k: int) -> Fraction:

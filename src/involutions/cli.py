@@ -14,6 +14,7 @@ import argparse
 import decimal
 import functools
 import json
+import math
 import os
 import resource
 import sys
@@ -318,10 +319,12 @@ def _suite_egf(max_n: int):
             total += d
             if g_sums.egf_coefficient(n) != total:
                 return f"partial sum lemma fails at (n={n}, l={l})"
-    # d^m/dx^m f = f * sum_k C(m,k) I(m-k) x^k, through order max_n - m
+    # d^m/dx^m f = f * sum_k C(m,k) I(m-k) x^k, through order max_n - m;
+    # the polynomial enters as its EGF values k! C(m,k) I(m-k)
     derivative = f
     for m in range(7):
-        umbral = series.TruncatedEGF(involution.umbral_derivative_coeffs(m), max_n)
+        coeffs = involution.umbral_derivative_coeffs(m)
+        umbral = series.TruncatedEGF([math.factorial(k) * c for k, c in enumerate(coeffs)], max_n)
         if series.series_mul(f, umbral).truncate(max_n - m) != derivative:
             return f"umbral identity fails at m={m}"
         derivative = series.series_derive(derivative)

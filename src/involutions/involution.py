@@ -20,6 +20,8 @@ def involution_numbers(modulus: int = 0, one=1):
     terms lie in the ring of `one`: int by default, decimal.Decimal for the
     CLI tables, which print them.
     """
+    if modulus < 0:
+        raise ValueError("modulus must be >= 0")
     prev, cur = 0, one
     for m in count():
         if modulus:

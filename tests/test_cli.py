@@ -517,7 +517,7 @@ def _determinant_off_at_4_2(right):
 def _involution_egf_off_at_3(right):
     def egf(order):
         f = right(order)
-        f.coeffs[3] += 1
+        f.values[3] += 1
         return f
     return egf
 

@@ -289,13 +289,16 @@ def test_negative_n_is_refused_not_read_as_an_empty_sum(call):
     (lambda: partition_census(-1), "requires n >= 0"),
     (lambda: F_sum(1, -1, 1), "requires beta >= 0"),
     (lambda: TruncatedEGF([1], -1), "order must be >= 0"),
+    (lambda: TruncatedEGF.x_power(-1, 4, 7), "x_power requires k >= 0"),
+    (lambda: list(islice(involution_numbers(-5), 3)), "modulus must be >= 0"),
     (lambda: beta_series_extraction(3, 0), "requires 0 < k < l"),
     (lambda: beta_series_extraction(3, 3), "requires 0 < k < l"),
     (lambda: multinomial(4, (4, 0)), "partition parts must be positive: (4, 0)"),
 ], ids=["nu2_involution", "nu2_floor", "nu2_partial_sum", "nu3_partial_sum", "scan_bound",
         "periodicity_composite", "tree_level", "tree_p2", "tree_composite", "restricted_n",
         "restricted_l", "toeplitz_n", "toeplitz_l", "partitions", "census", "F_sum_beta",
-        "egf_order", "beta_k0", "beta_kl", "multinomial_part"])
+        "egf_order", "egf_x_power", "involution_modulus", "beta_k0", "beta_kl",
+        "multinomial_part"])
 def test_input_outside_the_domain_is_refused(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()

@@ -31,25 +31,32 @@ def series(order):
     ).map(lambda cs: TruncatedEGF(cs, order))
 
 
-def fraction_mul(a, b):
-    """Reference Cauchy product: the Fraction loop, one gcd per step."""
-    order = min(a.order, b.order)
+def ordinary(a):
+    """The ordinary power-series coefficients a(n)/n! of an EGF."""
+    return [a.coefficient(n) for n in range(a.order + 1)]
+
+
+def fraction_mul(xs, ys):
+    """Reference Cauchy product of ordinary coefficients: the Fraction loop."""
+    order = min(len(xs), len(ys)) - 1
     out = [Fraction(0)] * (order + 1)
     for i in range(order + 1):
         for j in range(order + 1 - i):
-            out[i + j] += a.coeffs[i] * b.coeffs[j]
-    return TruncatedEGF(out, order)
+            out[i + j] += xs[i] * ys[j]
+    return out
 
 
-def fraction_exp(s):
-    """Reference exp: (n+1) e(n+1) = sum_k (k+1) s(k+1) e(n-k) over Fractions."""
-    out = [Fraction(1)] + [Fraction(0)] * s.order
-    for n in range(s.order):
+def fraction_exp(cs):
+    """Reference exp of ordinary coefficients:
+    (n+1) e(n+1) = sum_k (k+1) c(k+1) e(n-k) over Fractions."""
+    order = len(cs) - 1
+    out = [Fraction(1)] + [Fraction(0)] * order
+    for n in range(order):
         acc = Fraction(0)
         for k in range(n + 1):
-            acc += (k + 1) * s.coeffs[k + 1] * out[n - k]
+            acc += (k + 1) * cs[k + 1] * out[n - k]
         out[n + 1] = acc / (n + 1)
-    return TruncatedEGF(out, s.order)
+    return out
 
 
 def without_constant(a):
@@ -59,12 +66,14 @@ def without_constant(a):
 def test_truncated_egf_basics():
     f = TruncatedEGF([1, 2, 3])
     assert f.order == 2
-    assert f.coefficient(1) == 2
-    assert f.egf_coefficient(2) == 6
+    assert f.egf_coefficient(2) == 3
+    assert f.coefficient(2) == Fraction(3, 2)
     with pytest.raises(IndexError):
         f.coefficient(3)
     with pytest.raises(IndexError):
         f.coefficient(-1)  # not the top coefficient, as a list index would give
+    with pytest.raises(IndexError):
+        f.egf_coefficient(-1)
     with pytest.raises(ValueError):
         f.truncate(5)
     assert f.truncate(1) == TruncatedEGF([1, 2])
@@ -72,28 +81,30 @@ def test_truncated_egf_basics():
 
 def test_padding_and_truncation_on_init():
     f = TruncatedEGF([1], 3)
-    assert f.coeffs == [1, 0, 0, 0]
+    assert f.values == [1, 0, 0, 0]
     g = TruncatedEGF([1, 2, 3, 4], 1)
-    assert g.coeffs == [1, 2]
+    assert g.values == [1, 2]
 
 
 def test_series_mul_example():
-    # (1+x)(1-x) = 1 - x^2
+    # (1+x)(1-x) = 1 - x^2, whose EGF values are 1, 0, -2
     a = TruncatedEGF([1, 1, 0])
     b = TruncatedEGF([1, -1, 0])
-    assert series_mul(a, b) == TruncatedEGF([1, 0, -1])
+    assert series_mul(a, b) == TruncatedEGF([1, 0, -2])
 
 
 def test_derive_integrate_orders():
-    f = TruncatedEGF([1, 2, 3, 4])
+    # 1 + x + x^2 + x^3, by its EGF values
+    f = TruncatedEGF([1, 1, 2, 6])
     d = series_derive(f)
-    assert d.order == 2 and d.coeffs == [2, 6, 12]
+    assert d.order == 2 and ordinary(d) == [1, 2, 3]
     i = series_integrate(f)
-    assert i.order == 4 and i.coeffs == [0, 1, 1, 1, 1]
+    assert i.order == 4 and ordinary(i) == [0, 1, Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)]
 
 
 def test_exp_of_x():
     e = exp_x(10)
+    assert series_exp(TruncatedEGF.x_power(1, 10)) == e
     for n in range(11):
         assert e.coefficient(n) == Fraction(1, int_fact(n))
 
@@ -138,20 +149,25 @@ def test_product_rule(a, b):
 @settings(max_examples=40, deadline=None)
 @given(series(8), series(8), series(5))
 def test_integer_kernels_equal_the_fraction_loops(a, b, c):
-    assert series_mul(a, b) == fraction_mul(a, b)
-    assert series_mul(a, c) == fraction_mul(a, c)  # truncated to the smaller order
-    assert series_exp(without_constant(a)) == fraction_exp(without_constant(a))
+    assert ordinary(series_mul(a, b)) == fraction_mul(ordinary(a), ordinary(b))
+    # truncated to the smaller order
+    assert ordinary(series_mul(a, c)) == fraction_mul(ordinary(a), ordinary(c))
+    a = without_constant(a)
+    assert ordinary(series_exp(a)) == fraction_exp(ordinary(a))
 
 
 @pytest.mark.parametrize("l", [2, 3, 4, 5])
 def test_integer_kernels_equal_the_fraction_loops_at_order_120(l):
     s = cycle_egf_exponent(l, 120)
     f = series_exp(s)
-    assert f == fraction_exp(s)
+    assert ordinary(f) == fraction_exp(ordinary(s))
     top = TruncatedEGF.x_power(l, 120, Fraction(1, l))
+    assert type(top.egf_coefficient(l)) is int  # (l-1)!, so the kernels stay on ints
     shorter = series_exp(cycle_egf_exponent(l - 1, 120))
-    assert series_mul(shorter, series_exp(top)) == fraction_mul(shorter, fraction_exp(top)) == f
-    assert series_mul(f, s) == fraction_mul(f, s)
+    product = series_mul(shorter, series_exp(top))
+    assert product == f
+    assert ordinary(product) == fraction_mul(ordinary(shorter), fraction_exp(ordinary(top)))
+    assert ordinary(series_mul(f, s)) == fraction_mul(ordinary(f), ordinary(s))
 
 
 def test_exp_of_zero_is_one():
@@ -161,7 +177,8 @@ def test_exp_of_zero_is_one():
 
 def test_cycle_egf_exponent():
     s = cycle_egf_exponent(3, 5)
-    assert s.coeffs == [0, 1, Fraction(1, 2), Fraction(1, 3), 0, 0]
+    assert s.values == [0, 1, 1, 2, 0, 0]
+    assert ordinary(s) == [0, 1, Fraction(1, 2), Fraction(1, 3), 0, 0]
 
 
 def test_involution_egf_values():
@@ -170,6 +187,7 @@ def test_involution_egf_values():
     assert f.egf_coefficient(10) == 9496
     for n in range(31):
         assert f.egf_coefficient(n) == involution_number(n)
+        assert type(f.egf_coefficient(n)) is int
 
 
 def test_partial_sum_egf_identity():
@@ -202,6 +220,7 @@ def test_restricted_egf_coefficients():
     for l in range(1, 6):
         f = series_exp(cycle_egf_exponent(l, 30))
         assert all(f.egf_coefficient(n) == restricted_count(n, l) for n in range(31))
+        assert all(type(d) is int for d in f.values)
 
 
 def test_umbral_derivative_identity():
@@ -212,7 +231,8 @@ def test_umbral_derivative_identity():
         derivative = f
         for _ in range(m):
             derivative = series_derive(derivative)
-        umbral = TruncatedEGF(umbral_derivative_coeffs(m), 30)
+        coeffs = umbral_derivative_coeffs(m)
+        umbral = TruncatedEGF([int_fact(k) * c for k, c in enumerate(coeffs)], 30)
         assert series_mul(f, umbral).truncate(30 - m) == derivative
 
 
@@ -240,7 +260,7 @@ def test_egf_suite_catches_a_wrong_umbral_polynomial(monkeypatch):
 def test_egf_suite_catches_a_wrong_partial_sum_transform(monkeypatch):
     def wrong(w):
         g = partial_sum_transform(w)
-        g.coeffs[12] += 1
+        g.values[12] += 1
         return g
 
     monkeypatch.setattr("involutions.series.partial_sum_transform", wrong)
