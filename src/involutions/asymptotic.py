@@ -18,7 +18,9 @@ from mpmath import mp, mpf
 from .cyclecount import restricted_count
 
 DEFAULT_DPS = 40
-SADDLE_BUDGET = 10**4  # largest l: a Newton step is an l-term Horner pass; (10, 10^4) takes 0.07 s
+# largest l of every asym action: a Newton step is an l-term Horner pass, and
+# (10, 10^4) takes 0.07 s; beta_k is one product of up to l - 1 ints
+SADDLE_BUDGET = 10**4
 
 
 def _precision(n: int) -> int:
@@ -29,6 +31,11 @@ def _precision(n: int) -> int:
     digits = int(math.log10(n)) + 1
     digits += (n >= 10**digits) - (n < 10 ** (digits - 1))
     return max(DEFAULT_DPS, digits + 20)
+
+
+def _refuse_past_budget(l: int) -> None:
+    if l > SADDLE_BUDGET:
+        raise ValueError(f"l = {l} exceeds the saddle budget {SADDLE_BUDGET}")
 
 
 @dataclass
@@ -55,8 +62,7 @@ def solve_saddle(n: int, l: int) -> SaddleSolution:
     """
     if n < 1 or l < 1:
         raise ValueError("requires n >= 1 and l >= 1")
-    if l > SADDLE_BUDGET:
-        raise ValueError(f"l = {l} exceeds the saddle budget {SADDLE_BUDGET}")
+    _refuse_past_budget(l)
     with mp.workdps(_precision(n)):
         start = mpf(n) ** (mpf(1) / l)
         # guard bits for the l truncations of a Horner pass
@@ -123,60 +129,42 @@ def log_exact_count(n: int, l: int) -> mpmath.mpf:
         return mpmath.ln(mpf(restricted_count(n, l)))
 
 
-def _binomial_fraction(e: Fraction, m: int) -> Fraction:
-    """Generalized binomial coefficient C(e, m) for rational e."""
-    out = Fraction(1)
-    for i in range(m):
-        out *= (e - i) / (m - i)
-    return out
-
-
-def eta_power_laurent(l: int, k: int, order: int) -> list[Fraction]:
-    """Coefficients of x^0..x^order in ((1-x^l)/(1-x))^((l-k)/l), x = 1/r.
-
-    eta(r)^(l-k) = r^(l-k) times this series; the generalized binomial
-    series is evaluated with exact rational arithmetic.
-    """
-    e = Fraction(l - k, l)
-    # (1 - x^l)^e
-    a = [Fraction(0)] * (order + 1)
-    for m in range(order // l + 1):
-        a[l * m] = _binomial_fraction(e, m) * (-1) ** m
-    # (1 - x)^(-e) = sum C(e+m-1, m) x^m
-    b = [_binomial_fraction(e + m - 1, m) for m in range(order + 1)]
-    return [sum(a[i] * b[n - i] for i in range(n + 1)) for n in range(order + 1)]
+def _beta_product(l: int, k: int, top: int) -> Fraction:
+    """(1/(k (l-k)!)) prod_{m=1}^{top} (e+m) with e = (l-k)/l, as one integer
+    product: each e+m is (l-k+ml)/l."""
+    return Fraction(math.prod(l - k + m * l for m in range(1, top + 1)),
+                    k * math.factorial(l - k) * l**top)
 
 
 def beta_series_extraction(l: int, k: int) -> Fraction:
     """Exponent-polynomial coefficient beta_k for 0 < k < l, extracted as a
-    residue: l/(k(l-k)) times the constant coefficient of eta(r)^(l-k)."""
+    residue: l/(k(l-k)) C(e+l-k-1, l-k), e = (l-k)/l, the coefficient of
+    x^(l-k) in ((1-x^l)/(1-x))^e, whose first factor is 1 below order l.
+    That is (1/(k (l-k)!)) prod_{m=1}^{l-k-1} (e+m).  An l past SADDLE_BUDGET
+    is refused before any work."""
     if not 0 < k < l:
         raise ValueError("requires 0 < k < l")
-    series = eta_power_laurent(l, k, l - k)
-    return Fraction(l, k * (l - k)) * series[l - k]
+    _refuse_past_budget(l)
+    return _beta_product(l, k, l - k - 1)
 
 
 def beta_closed_form(l: int, k: int) -> Fraction:
     """Exponent-polynomial coefficients from the stated closed forms.
 
     beta_l = 1/l and beta_0 = -(1/l) sum_{j=2}^{l} 1/j.  For 0 < k < l the
-    stated product formula is returned verbatim for comparison; it disagrees
-    with the series extraction (e.g. 3/2 vs 1 at l=2, k=1), and the
-    extracted value is what the Stirling-consistent estimate uses.  With
-    e = (l-k)/l that is (1/(k (l-k)!)) prod_{m=1}^{l-k-1} (e+m), since
-    (1-x^l)^e in `eta_power_laurent` is 1 to order l-k < l and the
-    coefficient read is C(e+l-k-1, l-k); the stated product runs to m = l-1.
+    stated product is returned verbatim for comparison: it runs the product
+    of `beta_series_extraction` on to m = l-1, not l-k-1, and so disagrees
+    with the extracted value, which the Stirling-consistent estimate uses
+    (3/2 vs 1 at l=2, k=1).  An l past SADDLE_BUDGET is refused first.
     """
     if l < 1 or not 0 <= k <= l:
         raise ValueError("requires l >= 1 and 0 <= k <= l")
+    _refuse_past_budget(l)
     if k == l:
         return Fraction(1, l)
     if k == 0:
         return -Fraction(1, l) * sum((Fraction(1, j) for j in range(2, l + 1)), Fraction(0))
-    out = Fraction(1, k * math.factorial(l - k))
-    for m in range(1, l):
-        out *= Fraction(l - k, l) + m
-    return out
+    return _beta_product(l, k, l - 1)
 
 
 @dataclass
@@ -195,16 +183,21 @@ class ClosedFormEstimate:
 
 
 def estimate_closed_form(n: int, l: int, beta_source: str = "extracted") -> ClosedFormEstimate:
+    """The closed form of d(n, l) in log-space (see ClosedFormEstimate):
+    -ln(l)/2 + n (1 - 1/l) ln n + sum_{k=0}^{l} beta_k n^(k/l), and that minus n.
+
+    The interior beta_k are `beta_series_extraction`'s when beta_source is
+    "extracted" and `beta_closed_form`'s printed ones when it is "printed".
+    Another beta_source, n < 1 or l < 1 raise ValueError, and an l past
+    SADDLE_BUDGET is refused by beta_closed_form(l, 0) before any work.
+    """
     if beta_source not in ("printed", "extracted"):
         raise ValueError("beta_source must be 'printed' or 'extracted'")
     if n < 1 or l < 1:
         raise ValueError("requires n >= 1 and l >= 1")
+    interior = beta_closed_form if beta_source == "printed" else beta_series_extraction
     betas = {0: beta_closed_form(l, 0), l: beta_closed_form(l, l)}
-    for k in range(1, l):
-        if beta_source == "printed":
-            betas[k] = beta_closed_form(l, k)
-        else:
-            betas[k] = beta_series_extraction(l, k)
+    betas.update((k, interior(l, k)) for k in range(1, l))
     with mp.workdps(_precision(n)):
         nn = mpf(n)
         exponent = mpf(betas[0].numerator) / betas[0].denominator

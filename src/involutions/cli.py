@@ -345,6 +345,8 @@ def _suite_asymptotic(max_n: int):
         return f"ratio at n={max_n} out of range: {float(ratio)}"
     if asymptotic.beta_series_extraction(2, 1) != Fraction(1):
         return "extracted beta_1 at l=2 is not 1"
+    if asymptotic.beta_closed_form(2, 1) != Fraction(3, 2):
+        return "printed beta_1 at l=2 is not 3/2"
     return None
 
 

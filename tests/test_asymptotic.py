@@ -1,7 +1,9 @@
+import json
 import sys
 import tracemalloc
 from fractions import Fraction
 from math import factorial, prod
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -14,7 +16,6 @@ from involutions.asymptotic import (
     beta_series_extraction,
     estimate_closed_form,
     estimate_saddle,
-    eta_power_laurent,
     fit_phi_coefficients,
     log_exact_count,
     log_factorial,
@@ -152,6 +153,22 @@ def test_saddle_budget_refuses_before_any_work(solve, monkeypatch):
         solve(10, budget)
 
 
+@pytest.mark.parametrize("beta, k", [(beta_series_extraction, 1), (beta_closed_form, 1),
+                                     (beta_closed_form, 0)],
+                         ids=lambda p: getattr(p, "__name__", p))
+def test_beta_budget_refuses_before_any_work(beta, k, monkeypatch):
+    # the interior beta_k are the product, beta_0 a sum of Fractions
+    def no_work(*args):
+        raise AssertionError("beta work began")
+    monkeypatch.setattr(asymptotic, "_beta_product", no_work)
+    monkeypatch.setattr(asymptotic, "Fraction", no_work)
+    budget = asymptotic.SADDLE_BUDGET
+    with pytest.raises(ValueError, match=f"saddle budget {budget}$"):
+        beta(budget + 1, k)
+    with pytest.raises(AssertionError, match="beta work began"):
+        beta(budget, k)
+
+
 def test_solve_saddle_preconditions():
     with pytest.raises(ValueError):
         solve_saddle(0, 2)
@@ -182,12 +199,54 @@ def test_saddle_estimate_accuracy_larger_l():
     assert abs(ratio(100, 4) - 1) < 0.08
 
 
+def _binomial_fraction(e, m):
+    """Generalized binomial coefficient C(e, m) for rational e."""
+    out = Fraction(1)
+    for i in range(m):
+        out *= (e - i) / (m - i)
+    return out
+
+
+def eta_power_laurent(l, k, order):
+    """Coefficients of x^0..x^order in ((1-x^l)/(1-x))^((l-k)/l), x = 1/r:
+    eta(r)^(l-k) = r^(l-k) times this series, as the product of the
+    generalized binomial series of (1 - x^l)^e and (1 - x)^(-e), e = (l-k)/l.
+    The reference that the library's beta product is checked against."""
+    e = Fraction(l - k, l)
+    a = [Fraction(0)] * (order + 1)
+    for m in range(order // l + 1):
+        a[l * m] = _binomial_fraction(e, m) * (-1) ** m
+    b = [_binomial_fraction(e + m - 1, m) for m in range(order + 1)]
+    return [sum(a[i] * b[n - i] for i in range(n + 1)) for n in range(order + 1)]
+
+
 def test_eta_power_laurent_l2():
     # ((1-x^2)/(1-x))^(1/2) = (1+x)^(1/2) = 1 + x/2 - x^2/8 + ...
     series = eta_power_laurent(2, 1, 4)
     assert series[0] == 1
     assert series[1] == Fraction(1, 2)
     assert series[2] == Fraction(-1, 8)
+
+
+def test_beta_extraction_is_the_residue_of_the_series():
+    # beta_k is l/(k(l-k)) times the coefficient of x^(l-k), read off the
+    # whole series rather than the product
+    for l in range(2, 13):
+        for k in range(1, l):
+            series = eta_power_laurent(l, k, l - k)
+            assert beta_series_extraction(l, k) == Fraction(l, k * (l - k)) * series[l - k]
+
+
+# str() of both functions, keyed "l,k", at 1 <= k < l <= 12, 0 <= k <= l <= 12
+# and l = 100, recorded from the truncated series that the product replaced
+BETA_GOLDEN = json.loads((Path(__file__).parent / "beta_golden.json").read_text())
+
+
+@pytest.mark.parametrize("beta", [beta_series_extraction, beta_closed_form],
+                         ids=lambda f: f.__name__)
+def test_beta_golden_values(beta):
+    golden = BETA_GOLDEN[beta.__name__]
+    assert {key: str(beta(*map(int, key.split(",")))) for key in golden} == golden
 
 
 def test_beta_extraction_examples():
@@ -265,6 +324,8 @@ def test_estimate_closed_form_preconditions():
         estimate_closed_form(10, 2, beta_source="other")
     with pytest.raises(ValueError):
         estimate_closed_form(0, 2)
+    with pytest.raises(ValueError, match=f"saddle budget {asymptotic.SADDLE_BUDGET}$"):
+        estimate_closed_form(10, asymptotic.SADDLE_BUDGET + 1)
 
 
 def test_phi_fit_recovers_betas_l2():

@@ -585,6 +585,8 @@ WRONG_VALUES = [
      f"ratio at n=1000 out of range: {float(mpmath.exp(mpmath.mpf(-0.5)))}"),
     ("asymptotic", "asymptotic.beta_series_extraction", _off_at((2, 1)),
      "extracted beta_1 at l=2 is not 1"),
+    ("asymptotic", "asymptotic.beta_closed_form", _off_at((2, 1)),
+     "printed beta_1 at l=2 is not 3/2"),
 ]
 
 
@@ -629,6 +631,7 @@ def test_error_maps_to_usage_exit(capsys):
     ["asym", "--n", "10", "--l", "1000000000"],
     ["asym", "--saddle", "--n", "10", "--l", "1000000000"],
     ["asym", "--sweep", "10", "--l", "10001"],
+    ["asym", "--beta", "1", "--l", "1000000000"],
 ], ids=lambda argv: "-".join(a.lstrip("-") for a in argv))
 def test_input_refused_before_any_output(argv, capsys):
     assert run(argv) == EXIT_USAGE
