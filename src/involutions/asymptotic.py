@@ -15,12 +15,15 @@ from fractions import Fraction
 import mpmath
 from mpmath import mp, mpf
 
-from .cyclecount import restricted_count
+from .cyclecount import _count_window, restricted_count
 
 DEFAULT_DPS = 40
 # largest l of every asym action: a Newton step is an l-term Horner pass, and
 # (10, 10^4) takes 0.07 s; beta_k is one product of up to l - 1 ints
 SADDLE_BUDGET = 10**4
+# largest l of estimate_closed_form, whose l - 1 interior products of up to
+# l factors grow as l^3: (10^6, 400) takes 0.08/0.15 s (extracted/printed)
+CLOSED_FORM_BUDGET = 400
 
 
 def _precision(n: int) -> int:
@@ -64,7 +67,7 @@ def solve_saddle(n: int, l: int) -> SaddleSolution:
         raise ValueError("requires n >= 1 and l >= 1")
     _refuse_past_budget(l)
     with mp.workdps(_precision(n)):
-        start = mpf(n) ** (mpf(1) / l)
+        start = mpmath.root(mpf(n), l)
         # guard bits for the l truncations of a Horner pass
         bits = mp.prec + l.bit_length() + 4
     k = max(0, int(start).bit_length() - 1)  # integer parts up to about 2^l, not n
@@ -124,9 +127,22 @@ def estimate_saddle(n: int, l: int) -> SaddleEstimate:
 
 
 def log_exact_count(n: int, l: int) -> mpmath.mpf:
-    """ln of the exact count, from the integer recurrence."""
+    """ln of the exact count d(n, l), bit for bit ln(mpf(restricted_count(n, l))).
+
+    The window recurrence runs on ints cut to P = prec + bits of n + 64 bits
+    (`_count_window`), in O(n l) steps, and bounds d(n, l) between low 2^s
+    and high 2^s, high = low + ceil(cuts low 2^-(P-2)), as cuts <= n.
+    Rounding to nearest is monotone, so when low and high round to the same
+    mpf, d(n, l) does too (Ziv's rounding test); when they do not, which the
+    64 guard bits make rare, the exact count is built and rounded.
+    """
     with mp.workdps(_precision(n)):
-        return mpmath.ln(mpf(restricted_count(n, l)))
+        bits = mp.prec + n.bit_length() + 64
+        low, s, cuts = _count_window(n, l, bits)
+        rounded = mpf(low)
+        if rounded != mpf(low - (-cuts * low >> (bits - 2))):
+            return mpmath.ln(mpf(restricted_count(n, l)))
+        return mpmath.ln(mpmath.ldexp(rounded, s))
 
 
 def _beta_product(l: int, k: int, top: int) -> Fraction:
@@ -189,12 +205,14 @@ def estimate_closed_form(n: int, l: int, beta_source: str = "extracted") -> Clos
     The interior beta_k are `beta_series_extraction`'s when beta_source is
     "extracted" and `beta_closed_form`'s printed ones when it is "printed".
     Another beta_source, n < 1 or l < 1 raise ValueError, and an l past
-    SADDLE_BUDGET is refused by beta_closed_form(l, 0) before any work.
+    CLOSED_FORM_BUDGET is refused before any work.
     """
     if beta_source not in ("printed", "extracted"):
         raise ValueError("beta_source must be 'printed' or 'extracted'")
     if n < 1 or l < 1:
         raise ValueError("requires n >= 1 and l >= 1")
+    if l > CLOSED_FORM_BUDGET:
+        raise ValueError(f"l = {l} exceeds the closed-form budget {CLOSED_FORM_BUDGET}")
     interior = beta_closed_form if beta_source == "printed" else beta_series_extraction
     betas = {0: beta_closed_form(l, 0), l: beta_closed_form(l, l)}
     betas.update((k, interior(l, k)) for k in range(1, l))

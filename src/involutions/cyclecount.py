@@ -78,9 +78,23 @@ class CycleIndexPoly:
 
 def restricted_count(n: int, l: int) -> int:
     """Number of permutations of n symbols with every cycle length <= l."""
+    return _count_window(n, l)[0]
+
+
+def _count_window(n: int, l: int, bits: int = 0) -> tuple[int, int, int]:
+    """(low, s, cuts) with low 2^s <= d(n, l); exact, (d(n, l), 0, 0), when bits is 0.
+
+    Otherwise the window is kept as ints scaled by 2^-s.  d is nondecreasing,
+    so its oldest term is its smallest; once that one passes twice `bits`
+    bits, every term is shifted right until it has `bits` bits, and the cut
+    is counted.  A cut loses under 2^-(bits-1) of each term, and a step is a
+    positive combination of terms, so after `cuts` cuts
+    d(n, l) <= low 2^s (1 + cuts 2^-(bits-2)) while cuts 2^-(bits-1) <= 1/2.
+    """
     if n < 0 or l < 1:
         raise ValueError("requires n >= 0 and l >= 1")
-    window = deque([1], maxlen=l)  # d(m), d(m-1), ..., d(m-l+1)
+    window = deque([1], maxlen=l)  # d(m), d(m-1), ..., d(m-l+1), times 2^-s
+    s = cuts = 0
     for m in range(n):
         # d(m+1) = sum_{j=0}^{l-1} m!/(m-j)! d(m-j), in Horner form
         # d(m) + m (d(m-1) + (m-1) (d(m-2) + ...)): big times small only
@@ -88,7 +102,11 @@ def restricted_count(n: int, l: int) -> int:
         for j in range(len(window) - 2, -1, -1):
             acc = window[j] + (m - j) * acc
         window.appendleft(acc)
-    return window[0]
+        if bits and (t := window[-1].bit_length() - bits) > bits:
+            window = deque((term >> t for term in window), maxlen=l)
+            s += t
+            cuts += 1
+    return window[0], s, cuts
 
 
 def cycle_index_polys(l: int):

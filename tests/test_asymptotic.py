@@ -10,6 +10,7 @@ import pytest
 
 from involutions import asymptotic
 from involutions.asymptotic import (
+    CLOSED_FORM_BUDGET,
     DEFAULT_DPS,
     _precision,
     beta_closed_form,
@@ -22,6 +23,7 @@ from involutions.asymptotic import (
     phi_at,
     solve_saddle,
 )
+from involutions.cyclecount import restricted_count
 from involutions.involution import involution_number
 
 
@@ -185,6 +187,36 @@ def test_log_factorial_exact_summation():
         assert abs(log_factorial(2000) - summed) < 1e-30 * summed
 
 
+def _spy_on_restricted_count(monkeypatch):
+    calls = []
+    monkeypatch.setattr(asymptotic, "restricted_count",
+                        lambda n, l: calls.append((n, l)) or restricted_count(n, l))
+    return calls
+
+
+def _ln_of_exact_count(n, l):
+    with mpmath.mp.workdps(_precision(n)):
+        return mpmath.ln(mpmath.mpf(restricted_count(n, l)))
+
+
+def test_log_exact_count_rounds_as_the_exact_count(monkeypatch):
+    exact_path = _spy_on_restricted_count(monkeypatch)
+    grid = [(n, l) for l in range(1, 10) for n in {0, 1, 2, l - 1, l, *range(0, 3000, 37)}]
+    for n, l in grid + [(20000, 3)]:
+        assert log_exact_count(n, l) == _ln_of_exact_count(n, l), (n, l)
+    assert exact_path == []  # the rounding test decided every case
+
+
+def test_log_exact_count_falls_back_on_a_straddle(monkeypatch):
+    # cuts = 2^bits puts the upper bound at 5 low, so the two roundings differ
+    real = asymptotic._count_window
+    monkeypatch.setattr(asymptotic, "_count_window",
+                        lambda n, l, bits: (*real(n, l, bits)[:2], 1 << bits))
+    exact_path = _spy_on_restricted_count(monkeypatch)
+    assert log_exact_count(1000, 4) == _ln_of_exact_count(1000, 4)
+    assert exact_path == [(1000, 4)]
+
+
 def test_saddle_estimate_accuracy_involutions():
     # first-order estimate against exact involution counts
     assert abs(ratio(100, 2) - 1) < 0.05
@@ -324,8 +356,20 @@ def test_estimate_closed_form_preconditions():
         estimate_closed_form(10, 2, beta_source="other")
     with pytest.raises(ValueError):
         estimate_closed_form(0, 2)
-    with pytest.raises(ValueError, match=f"saddle budget {asymptotic.SADDLE_BUDGET}$"):
+    with pytest.raises(ValueError, match=f"closed-form budget {CLOSED_FORM_BUDGET}$"):
         estimate_closed_form(10, asymptotic.SADDLE_BUDGET + 1)
+
+
+def test_closed_form_budget_refuses_before_any_work(monkeypatch):
+    # l^3 growth: a budget of its own, checked before the first beta
+    def no_work(*args):
+        raise AssertionError("closed-form work began")
+    monkeypatch.setattr(asymptotic, "beta_closed_form", no_work)
+    for source in ("extracted", "printed"):
+        with pytest.raises(ValueError, match=f"closed-form budget {CLOSED_FORM_BUDGET}$"):
+            estimate_closed_form(10**6, CLOSED_FORM_BUDGET + 1, source)
+        with pytest.raises(AssertionError, match="closed-form work began"):
+            estimate_closed_form(10**6, CLOSED_FORM_BUDGET, source)
 
 
 def test_phi_fit_recovers_betas_l2():

@@ -10,6 +10,7 @@ from involutions.cyclecount import (
     CYCLE_INDEX_BUDGET,
     EXPONENT_BUDGET,
     CycleIndexPoly,
+    _count_window,
     _poly_mul,
     _terms_upto,
     cycle_index_poly,
@@ -46,6 +47,38 @@ def test_restricted_count_matches_involutions():
 def test_restricted_count_full_group():
     for n in range(1, 9):
         assert restricted_count(n, n) == factorial(n)
+
+
+def _counts_by_plain_recurrence(n, l):
+    """d(0..n, l) from d(m+1) = sum_{j<l} m!/(m-j)! d(m-j), one sum per m."""
+    d = [1]
+    for m in range(n):
+        total, falling = 0, 1
+        for j in range(min(l, m + 1)):
+            total += falling * d[m - j]
+            falling *= m - j
+        d.append(total)
+    return d
+
+
+@pytest.mark.parametrize("l", range(3, 9))
+def test_exact_window_at_table_sizes(l):
+    # the sizes of the exact-tables workload's d(n, l) tasks; exact mode never cuts
+    d = _counts_by_plain_recurrence(4000, l)
+    for n in (2000, 2500, 3000, 3500, 4000):
+        assert _count_window(n, l) == (d[n], 0, 0)
+        assert restricted_count(n, l) == d[n]
+
+
+@pytest.mark.parametrize("n, l, bits", [(300, 3, 20), (1000, 2, 24), (500, 7, 30), (2000, 5, 40),
+                                        (40, 9, 8)])
+def test_scaled_window_brackets_the_count(n, l, bits):
+    # d(n, l) lies in [low 2^s, (low + ceil(cuts low 2^-(bits-2))) 2^s]
+    low, s, cuts = _count_window(n, l, bits)
+    assert cuts > 0
+    high = low - (-cuts * low >> (bits - 2))
+    assert low << s <= restricted_count(n, l) <= high << s
+    assert low.bit_length() <= 2 * bits + n.bit_length() * l
 
 
 def test_cycle_index_examples():
