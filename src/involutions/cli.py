@@ -45,10 +45,8 @@ _EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=deci
                          traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation])
 
 
-def _print_table(terms, name: str, args) -> int | None:
+def _print_table(terms, name: str, args) -> None:
     """Print terms(one) for n = 0..max, each row as soon as it is computed."""
-    if args.max < 0:
-        return _usage(f"{args.command} --table: --max must be >= 0")
     with decimal.localcontext(_EXACT):
         rows = enumerate(islice(terms(one=decimal.Decimal(1)), args.max + 1))
         if args.format == "json":
@@ -103,9 +101,7 @@ def _beta(args) -> None:
                      sort_keys=True))
 
 
-def _sweep(args) -> int | None:
-    if min(args.sweep) < 1 or not 1 <= args.l <= asymptotic.SADDLE_BUDGET:
-        return _usage(f"asym --sweep: every n must be >= 1 and l in 1..{asymptotic.SADDLE_BUDGET}")
+def _sweep(args) -> None:
     print("n,l,exact,estimate,ratio,log_error")
     for n in args.sweep:
         print(f"... n={n}", file=sys.stderr)
@@ -247,17 +243,18 @@ def _suite_congruence(max_n: int):
 
 def _suite_hermite(max_n: int):
     # He(n+1) = t He(n) - n He(n-1) and I(n+1; t) = t I(n; t) + n I(n-1; t),
-    # each from P(-1) = 0, P(0) = 1; I(n; 0) counts the perfect matchings
+    # each from P(-1) = 0, P(0) = 1; I(n; 0) counts the perfect matchings.
+    # He is read from I(n; t), so I(n; t) is checked first
     lower, he = [], [1]
     below, poly = [], [1]
     for n in range(max_n + 1):
-        if involution.hermite_poly(n) != he:
-            return f"Hermite relation fails at n={n}"
         p = involution.involution_poly(n)
         if p[0] != (0 if n % 2 else involution.double_factorial_odd(n // 2)):
             return f"perfect matchings mismatch at n={n}"
         if p != poly:
             return f"involution polynomial recurrence fails at n={n}"
+        if involution.hermite_poly(n) != he:
+            return f"Hermite relation fails at n={n}"
         lower, he = he, [a - n * b for a, b in zip([0] + he, lower + [0, 0])]
         below, poly = poly, [a + n * b for a, b in zip([0] + poly, below + [0, 0])]
     return None
@@ -371,26 +368,33 @@ SUITES = {
     "asymptotic": (_suite_asymptotic, 1000),
 }
 
-# Suites that check one statement at a fixed bound reject --max; the others
-# honour any --max >= 0 up to their cap here.
-FIXED_BOUND = ("efficiency", "tree-5", "f-sum", "egf", "asymptotic")
+# The largest --max each suite honours; None: the suite checks one statement
+# at a fixed bound.  A cap past the default is the largest round one that
+# runs in about 4 s as a process on a shared 2-vCPU host; its time there.
 MAX_BOUND = {
-    "tables": 10,
-    "oracle": 8,
-    "cycle-index": 20,
-    "toeplitz": cyclecount.TOEPLITZ_MAX_N,
+    **dict.fromkeys(("efficiency", "tree-5", "f-sum", "egf", "asymptotic")),
+    "tables": 10, "oracle": 8, "cycle-index": 20, "toeplitz": cyclecount.TOEPLITZ_MAX_N,
+    "involution-forms": 1000, "partial-sum-forms": 2000, "cauchy": 400,  # 1.7, 1.5, 2.9 s
+    "nu2-involution": 5 * 10**4, "nu2-partial-sum": 5 * 10**4,  # 1.6, 2.0 s
+    "periodicity": 2 * 10**6, "nu3-pattern": 5 * 10**6,  # 3.7, 2.8 s
+    "congruence": 30, "hermite": 1000,  # 1.2, 1.0 s
 }
 
 
-def _unhonoured_max(name: str, max_n: int) -> str | None:
-    """Why suite `name` cannot run at an explicit --max; None if it can."""
-    if name in FIXED_BOUND:
-        return f"suite {name} checks a fixed bound; --max is not supported"
-    if max_n < 0:
-        return "--max must be >= 0"
-    cap = MAX_BOUND.get(name)
-    if cap is not None and max_n > cap:
-        return f"suite {name} runs up to --max {cap}, not {max_n}"
+def _verify_refusal(args) -> str | None:
+    """Why verify cannot run its suites at these arguments; None if it can."""
+    if args.suite != "all" and args.suite not in SUITES:
+        return f"unknown suite: {args.suite}"
+    if args.max is None:
+        return None
+    for name in sorted(SUITES) if args.suite == "all" else [args.suite]:
+        cap = MAX_BOUND[name]
+        if cap is None:
+            return f"verify: suite {name} checks a fixed bound; --max is not supported"
+        if args.max < 0:
+            return "verify: --max must be >= 0"
+        if args.max > cap:
+            return f"verify: suite {name} runs up to --max {cap}, not {args.max}"
     return None
 
 
@@ -401,15 +405,8 @@ def _verify(args) -> int:
     with a record per suite run, whose peak_rss_mb is the process's peak
     resident set size (ru_maxrss, in KiB on Linux) when that suite ended.
     """
-    names = sorted(SUITES) if args.suite == "all" else [args.suite]
-    for name in names:
-        if name not in SUITES:
-            return _usage(f"unknown suite: {name}")
-        problem = args.max is not None and _unhonoured_max(name, args.max)
-        if problem:
-            return _usage(f"verify: {problem}")
     records = []
-    for name in names:
+    for name in sorted(SUITES) if args.suite == "all" else [args.suite]:
         fn, default_max = SUITES[name]
         max_n = args.max if args.max is not None else default_max
         print(f"running {name} (max={max_n})", file=sys.stderr)
@@ -436,11 +433,45 @@ REQUIRED = object()  # the default of an option the action cannot run without
 
 
 class Action(NamedTuple):
-    """One action of a command: what it runs, reads and prints."""
+    """One action of a command: what it runs, reads, prints and refuses."""
 
     run: Callable[[argparse.Namespace], int | None]  # prints; None means EXIT_OK
     options: dict[str, object]  # each option it reads: its default, or REQUIRED
     formats: tuple[str, ...] = ("plain",)  # the --format values, default first
+    refuse: Callable[[argparse.Namespace], str | None] = lambda a: None  # its refusal, or None
+
+
+# Budgets of inputs whose library functions have none, so the library stays
+# unbounded for its own callers; each with its time as a process, as above.
+COUNT_BUDGET = 10**5  # n of `invol --n` and `sums --n`: 4.5 and 4.4 s
+RESTRICTED_BUDGET = 2 * 10**5  # n min(l, n) of the count: (66666, 3) 4.3 s, (10^5, 2) 3.4 s
+CAUCHY_BUDGET = 6000  # `sums --cauchy`: 2.6 s
+B_K_BUDGET = 10**4  # `sums --b-k`: 2.8 s
+ESTIMATE_DIGITS = 2000  # digits of `asym --n`: 2.4 s
+SADDLE_DIGITS = 10**5  # of `asym --saddle --n`: 1.0 s; Linux caps one argument at 131071 bytes
+DIGITS_TIMES_L = 10**6  # `asym` at (1000 digits, l = 1000) 0.8 s, `--saddle` at (10^5, 10) 2.9 s
+SWEEP_BUDGET = 3 * 10**7  # the sum of n l of `asym --sweep`: 10^7 at l = 3 takes 8.5 s
+
+
+def _at_most(what: str, value: int, budget: int) -> str | None:
+    return f"{what} must be <= {budget}" if value > budget else None
+
+
+def _digits_at_most(label: str, digits: int, a) -> str | None:
+    # an l outside 1..SADDLE_BUDGET is left to the library's refusal
+    top = min(digits, DIGITS_TIMES_L // min(max(a.l, 1), asymptotic.SADDLE_BUDGET))
+    return f"{label}: n must have at most {top} digits at l = {a.l}" if a.n >= 10**top else None
+
+
+def _sweep_refusal(a) -> str | None:
+    if min(a.sweep) < 1 or not 1 <= a.l <= asymptotic.SADDLE_BUDGET:
+        return f"asym --sweep: every n must be >= 1 and l in 1..{asymptotic.SADDLE_BUDGET}"
+    return _at_most("asym --sweep: the sum of n*l", sum(a.sweep) * a.l, SWEEP_BUDGET)
+
+
+def _table(terms, name: str) -> Action:
+    return Action(lambda a: _print_table(terms, name, a), {"max": 10}, SEQUENCE_FORMATS,
+                  lambda a: f"{a.command} --table: --max must be >= 0" if a.max < 0 else None)
 
 
 SEQUENCE_FORMATS = ("plain", "json", "csv", "bfile")
@@ -452,21 +483,23 @@ ASYM_OPTIONS = {"n": REQUIRED, "l": 2}
 # key None is the action that runs when no action flag is given
 COMMANDS = {
     "invol": {
-        "n": Action(_invol_n, {"poly": False}),
-        "table": Action(
-            lambda a: _print_table(involution.involution_numbers, "involution-numbers", a),
-            {"max": 10}, SEQUENCE_FORMATS),
+        "n": Action(_invol_n, {"poly": False}, refuse=lambda a: None if a.poly
+                    else _at_most("invol --n: n", a.n, COUNT_BUDGET)),
+        "table": _table(involution.involution_numbers, "involution-numbers"),
     },
     "sums": {
-        "n": Action(lambda a: print(partialsum.partial_sum(a.n)), {}),
-        "table": Action(
-            lambda a: _print_table(partialsum.partial_sums, "involution-partial-sums", a),
-            {"max": 10}, SEQUENCE_FORMATS),
-        "cauchy": Action(lambda a: print(partialsum.cauchy_alternating_sum(a.cauchy)), {}),
-        "b_k": Action(lambda a: print(partialsum.b_k(a.b_k)), {}),
+        "n": Action(lambda a: print(partialsum.partial_sum(a.n)), {},
+                    refuse=lambda a: _at_most("sums --n: n", a.n, COUNT_BUDGET)),
+        "table": _table(partialsum.partial_sums, "involution-partial-sums"),
+        "cauchy": Action(lambda a: print(partialsum.cauchy_alternating_sum(a.cauchy)), {},
+                         refuse=lambda a: _at_most("sums --cauchy: N", a.cauchy, CAUCHY_BUDGET)),
+        "b_k": Action(lambda a: print(partialsum.b_k(a.b_k)), {},
+                      refuse=lambda a: _at_most("sums --b-k: K", a.b_k, B_K_BUDGET)),
     },
     "restricted": {
-        None: Action(lambda a: print(cyclecount.restricted_count(a.n, a.l)), N_AND_L),
+        None: Action(lambda a: print(cyclecount.restricted_count(a.n, a.l)), N_AND_L,
+                     refuse=lambda a: _at_most("restricted: n*min(l, n)",
+                                               max(a.n, 0) * min(a.l, a.n), RESTRICTED_BUDGET)),
         "cycle_index": Action(
             lambda a: _print_poly(cyclecount.cycle_index_poly(a.n, a.l), a.format),
             N_AND_L, ("plain", "json")),
@@ -488,16 +521,16 @@ COMMANDS = {
     "asym": {
         None: Action(
             lambda a: print(mpmath.nstr(asymptotic.estimate_saddle(a.n, a.l).value, 12)),
-            ASYM_OPTIONS),
+            ASYM_OPTIONS, refuse=lambda a: _digits_at_most("asym", ESTIMATE_DIGITS, a)),
         "saddle": Action(
             lambda a: print(mpmath.nstr(asymptotic.solve_saddle(a.n, a.l).r_plus, 17)),
-            ASYM_OPTIONS),
+            ASYM_OPTIONS, refuse=lambda a: _digits_at_most("asym --saddle", SADDLE_DIGITS, a)),
         "beta": Action(_beta, {"l": 2}),
-        "sweep": Action(_sweep, {"l": 2}),
+        "sweep": Action(_sweep, {"l": 2}, refuse=_sweep_refusal),
     },
     "oracle": {None: Action(_oracle, {"n": REQUIRED})},
     "verify": {
-        None: Action(_verify, {"suite": "all", "max": None}, ("plain", "json")),
+        None: Action(_verify, {"suite": "all", "max": None}, ("plain", "json"), _verify_refusal),
         "list": Action(lambda a: print("\n".join(sorted(SUITES))), {}),
     },
 }
@@ -510,8 +543,8 @@ def _flag(dest: str) -> str:
 def _dispatch(args) -> int:
     """Run the action `args` selects, if it reads every option given.
 
-    An absent option takes the action's default, and a REQUIRED one must be
-    given; an explicit --format must be one that the action prints.
+    An absent option takes the action's default and a REQUIRED one must be
+    given; a --format must be one the action prints, and it must not refuse.
     """
     actions = COMMANDS[args.command]
     given = vars(args)
@@ -530,6 +563,8 @@ def _dispatch(args) -> int:
     if args.format not in action.formats:
         return _usage(f"{label}: --format {args.format} is not supported here "
                       f"(choose {' or '.join(action.formats)})")
+    if refusal := action.refuse(args):
+        return _usage(refusal)
     return action.run(args) or EXIT_OK
 
 
@@ -537,7 +572,7 @@ def _dispatch(args) -> int:
 FLAGS = {
     "n": {"type": int},
     "l": {"type": int},
-    "table": {"action": "store_true", "help": "print values 0..max"},
+    "table": {"action": "store_true", "help": "print values 0..max, streamed: rows are unbounded"},
     "poly": {"action": "store_true", "help": "print the involution polynomial"},
     "cauchy": {"type": int, "metavar": "N", "help": "alternating Cauchy sum at N"},
     "b_k": {"type": int, "metavar": "K", "help": "rational b(K)"},

@@ -119,14 +119,9 @@ def involution_poly(n: int) -> list[int]:
 def hermite_poly(n: int) -> list[int]:
     """Probabilistic Hermite polynomial; integer coefficients.
 
-    H(n) = n! sum_j (-1)^j / (j! (n-2j)! 2^j) t^(n-2j).
+    He(n; t) is I(n; t) with the sign (-1)^j on its coefficient of t^(n-2j).
     """
-    if n > POLY_BUDGET:
-        raise ValueError(f"n = {n} exceeds the polynomial budget {POLY_BUDGET}")
-    coeffs = [0] * (n + 1)
-    for j, t in enumerate(involution_terms(n)):
-        coeffs[n - 2 * j] = -t if j % 2 else t
-    return coeffs
+    return [-c if (n - k) % 4 == 2 else c for k, c in enumerate(involution_poly(n))]
 
 
 def umbral_derivative_coeffs(m: int) -> list[int]:

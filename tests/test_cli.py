@@ -1,7 +1,10 @@
 import argparse
+import contextlib
 import decimal
 import functools
 import json
+import resource
+import signal
 import subprocess
 import sys
 
@@ -882,3 +885,211 @@ def test_run_after_a_usage_error_prints_what_a_fresh_process_prints(error, valid
         code = run(argv)
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err) == fresh[tuple(argv)]
+
+
+# The refusal line of each input, recorded before the actions declared their
+# limits: the library's budgets, and the guards inside the run functions
+# that became declarations
+REFUSAL_LINES = {
+    "invol --n -1 --poly":
+        "error: requires n >= 0",
+    "asym --sweep 0":
+        "asym --sweep: every n must be >= 1 and l in 1..10000",
+    "asym --sweep 50 -3":
+        "asym --sweep: every n must be >= 1 and l in 1..10000",
+    "asym --sweep 50 --l 0":
+        "asym --sweep: every n must be >= 1 and l in 1..10000",
+    "restricted --n 200 --l 200 --cycle-index":
+        "error: n = 200, l = 200 exceeds the cycle-index budget 200000",
+    "restricted --n 1000 --l 3 --cycle-index --format json":
+        "error: n = 1000, l = 3 exceeds the cycle-index budget 200000",
+    "restricted --n 20 --l 100000 --cycle-index":
+        "error: n = 20, l = 100000 holds 271400000 exponents, past the exponent budget 7000000",
+    "restricted --n 5 --l 10000000 --determinant":
+        "error: n = 5, l = 10000000 holds 190000000 exponents, past the exponent budget 7000000",
+    "asym --n 10 --l 1000000000":
+        "error: l = 1000000000 exceeds the saddle budget 10000",
+    "asym --saddle --n 10 --l 1000000000":
+        "error: l = 1000000000 exceeds the saddle budget 10000",
+    "asym --sweep 10 --l 10001":
+        "asym --sweep: every n must be >= 1 and l in 1..10000",
+    "asym --beta 1 --l 1000000000":
+        "error: l = 1000000000 exceeds the saddle budget 10000",
+    "verify --suite tables --max 11":
+        "verify: suite tables runs up to --max 10, not 11",
+    "verify --suite efficiency --max 541":
+        "verify: suite efficiency checks a fixed bound; --max is not supported",
+    "verify --suite tree-5 --max 5":
+        "verify: suite tree-5 checks a fixed bound; --max is not supported",
+    "verify --suite f-sum --max 10":
+        "verify: suite f-sum checks a fixed bound; --max is not supported",
+    "verify --suite egf --max 30":
+        "verify: suite egf checks a fixed bound; --max is not supported",
+    "verify --suite oracle --max 9":
+        "verify: suite oracle runs up to --max 8, not 9",
+    "verify --suite cycle-index --max 21":
+        "verify: suite cycle-index runs up to --max 20, not 21",
+    "verify --suite toeplitz --max 13":
+        "verify: suite toeplitz runs up to --max 12, not 13",
+    "verify --suite cauchy --max -1":
+        "verify: --max must be >= 0",
+    "verify --suite asymptotic --max 3":
+        "verify: suite asymptotic checks a fixed bound; --max is not supported",
+    "verify --max 5":
+        "verify: suite asymptotic checks a fixed bound; --max is not supported",
+    "invol --table --max -1":
+        "invol --table: --max must be >= 0",
+    "sums --table --max -2":
+        "sums --table: --max must be >= 0",
+    "verify --suite nonsense":
+        "unknown suite: nonsense",
+    "invol --n 1000000000 --poly":
+        "error: n = 1000000000 exceeds the polynomial budget 5000",
+    "oracle --n 1000":
+        "error: n = 1000 exceeds the census budget 50",
+    "valuation --efficiency-scan --max 1000000000":
+        "error: bound = 1000000000 exceeds the scan budget 30000",
+    "restricted --n 13 --l 3 --determinant":
+        "error: n=13 exceeds the verification bound 12",
+    "valuation --tree --prime 5 --depth 100000000":
+        "error: p^max_level = 5^100000000 exceeds the compute budget 1000000",
+}
+
+
+@pytest.mark.parametrize("argv", REFUSAL_LINES)
+def test_every_earlier_refusal_is_byte_identical(argv, capsys):
+    assert run(argv.split()) == EXIT_USAGE
+    assert capsys.readouterr() == ("", REFUSAL_LINES[argv] + "\n")
+
+
+@contextlib.contextmanager
+def _bounded(seconds, more_mb=1024):
+    """Fail, rather than hang or exhaust the host's memory, if the block runs
+    past `seconds` or maps `more_mb` beyond what the process maps now."""
+    def overrun(signum, frame):
+        raise AssertionError(f"still running after {seconds} s")
+    with open("/proc/self/statm") as statm:
+        mapped = int(statm.read().split()[0]) * resource.getpagesize()
+    limits = resource.getrlimit(resource.RLIMIT_AS)
+    resource.setrlimit(resource.RLIMIT_AS, (mapped + (more_mb << 20), limits[1]))
+    previous = signal.signal(signal.SIGALRM, overrun)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+        resource.setrlimit(resource.RLIMIT_AS, limits)
+
+
+# a small valid value of each option that an action requires or is chosen by
+SMALL = {"n": "5", "l": "2", "cauchy": "5", "b_k": "3", "beta": "1", "sweep": "50",
+         "nu2_involution": "7", "nu2_partial_sum": "7"}
+# the int options that no limit bounds, and why: the tables stream their
+# rows by design, so the walk does not run them; the others finish at once
+STREAMED = {("invol", "table", "max"), ("sums", "table", "max")}
+FINISH_AT_ONCE = {
+    ("valuation", "nu2_involution", "nu2_involution"),  # closed forms in n mod 4
+    ("valuation", "nu2_partial_sum", "nu2_partial_sum"),
+    ("restricted", None, "l"),  # d(n, l) = d(n, n) for l >= n: an l past n adds no work
+}
+
+
+def _past_every_limit(command, dest):
+    # asym --n is bounded by its digits, every other int option by its value
+    return ("1" + "0" * (cli.SADDLE_DIGITS + 1) if (command, dest) == ("asym", "n")
+            else "1000000000")
+
+
+# (command, action, int option, suite): each int option of each action in
+# cli.COMMANDS, the chosen one included, and verify --max once per suite
+WALK = [(command, chosen, dest, suite)
+        for command, actions in cli.COMMANDS.items() for chosen, action in actions.items()
+        for dest in [chosen, *action.options]
+        if dest is not None and cli.FLAGS[dest].get("type") is int
+        and (command, chosen, dest) not in STREAMED
+        for suite in (sorted(SUITES) if command == "verify" else [None])]
+
+
+def _walk_argv(command, chosen, dest, suite):
+    """The action `chosen` of `command`, its option `dest` past every limit and
+    every other option small: its default, or SMALL where it needs a value."""
+    action = cli.COMMANDS[command][chosen]
+    values = {d: SMALL[d] for d, default in action.options.items() if default is cli.REQUIRED}
+    if chosen is not None:
+        values[chosen] = SMALL.get(chosen)
+    if suite is not None:
+        values["suite"] = suite
+    values[dest] = _past_every_limit(command, dest)
+    return [command] + [word for d, value in values.items()
+                        for word in (cli._flag(d), value) if word is not None]
+
+
+def test_the_walk_covers_every_action_and_each_exemption():
+    walked = {(command, chosen, dest) for command, chosen, dest, _ in WALK}
+    assert FINISH_AT_ONCE <= walked and not STREAMED & walked
+    unwalked = {(command, chosen) for command, actions in cli.COMMANDS.items()
+                for chosen in actions} - {(command, chosen) for command, chosen, _ in walked}
+    # verify --list reads no int option
+    assert unwalked == {("verify", "list")} | {(command, chosen) for command, chosen, _ in STREAMED}
+    assert {suite for *_, suite in WALK if suite} == set(SUITES)
+
+
+@pytest.mark.parametrize("command, chosen, dest, suite", WALK, ids=[
+    "-".join(str(part) for part in case if part is not None) for case in WALK])
+def test_every_int_option_past_every_limit_is_refused(command, chosen, dest, suite, capsys):
+    argv = _walk_argv(command, chosen, dest, suite)
+    with _bounded(seconds=2):
+        code = run(argv)
+    captured = capsys.readouterr()
+    if (command, chosen, dest) in FINISH_AT_ONCE:
+        assert code == EXIT_OK
+        return
+    assert code == EXIT_USAGE and captured.out == "" and captured.err.count("\n") == 1
+    # a limit's refusal, not the dispatcher's rejection of a badly built argv
+    assert not captured.err.endswith(("is not used here\n", "is required\n"))
+
+
+def _refusal(command, chosen, **values):
+    return cli.COMMANDS[command][chosen].refuse(argparse.Namespace(command=command, **values))
+
+
+# (command, action, options at a limit): one more in the first option is past it
+BOUNDARIES = [
+    ("invol", "n", {"n": cli.COUNT_BUDGET, "poly": False}),
+    ("sums", "n", {"n": cli.COUNT_BUDGET}),
+    ("sums", "cauchy", {"cauchy": cli.CAUCHY_BUDGET}),
+    ("sums", "b_k", {"b_k": cli.B_K_BUDGET}),
+    # n min(l, n), and the largest count at l = 2 that it admits
+    ("restricted", None, {"n": cli.RESTRICTED_BUDGET, "l": 1}),
+    ("restricted", None, {"n": cli.RESTRICTED_BUDGET // 2, "l": 2}),
+    # the largest n of the most digits, alone and at l = 1000, where digits times l binds
+    ("asym", None, {"n": 10**cli.ESTIMATE_DIGITS - 1, "l": 2}),
+    ("asym", "saddle", {"n": 10**cli.SADDLE_DIGITS - 1, "l": 2}),
+    ("asym", None, {"n": 10 ** (cli.DIGITS_TIMES_L // 1000) - 1, "l": 1000}),
+    ("asym", "saddle", {"n": 10 ** (cli.DIGITS_TIMES_L // 1000) - 1, "l": 1000}),
+    # the sum of n l, and the documented --sweep 10000000 --l 3 inside it
+    ("asym", "sweep", {"sweep": [cli.SWEEP_BUDGET], "l": 1}),
+    ("asym", "sweep", {"sweep": [10**7], "l": 3}),
+]
+
+
+@pytest.mark.parametrize("command, chosen, at_limit", BOUNDARIES, ids=[
+    f"{command}-{chosen or 'default'}-{i}" for i, (command, chosen, _) in enumerate(BOUNDARIES)])
+def test_each_declared_limit_holds_at_its_bound(command, chosen, at_limit):
+    dest, value = next(iter(at_limit.items()))
+    past = {**at_limit, dest: [value[0] + 1] if dest == "sweep" else value + 1}
+    assert _refusal(command, chosen, **at_limit) is None
+    assert _refusal(command, chosen, **past).startswith(command)
+
+
+@pytest.mark.parametrize("suite", sorted(name for name, cap in cli.MAX_BOUND.items() if cap))
+def test_each_verify_cap_holds_at_its_bound(suite):
+    cap = cli.MAX_BOUND[suite]
+    assert _refusal("verify", None, suite=suite, max=cap) is None
+    assert _refusal("verify", None, suite=suite, max=cap + 1) == (
+        f"verify: suite {suite} runs up to --max {cap}, not {cap + 1}")
+
+
+def test_every_suite_has_a_max_policy():
+    assert cli.MAX_BOUND.keys() == SUITES.keys()

@@ -223,8 +223,8 @@ def test_hermite_recurrence():
 
 
 def test_hermite_suite_catches_a_corrupt_involution_term(monkeypatch):
-    # both polynomials are read from involution_terms, so a wrong t(2) at
-    # n = 7 changes them alike: only He's own recurrence can see it
+    # He is I(n; t) with signs, so a wrong t(2) at n = 7 changes both alike;
+    # the suite checks I(n; t) against its own recurrence first
     terms = involution.involution_terms
 
     def corrupt(n):
@@ -232,6 +232,15 @@ def test_hermite_suite_catches_a_corrupt_involution_term(monkeypatch):
             yield t + 1 if (n, j) == (7, 2) else t
 
     monkeypatch.setattr(involution, "involution_terms", corrupt)
+    check, bound = SUITES["hermite"]
+    assert check(bound) == "involution polynomial recurrence fails at n=7"
+
+
+def test_hermite_suite_catches_a_wrong_sign(monkeypatch):
+    # the signs are all that He adds to I(n; t): only He's recurrence sees them
+    right = involution.hermite_poly
+    monkeypatch.setattr(involution, "hermite_poly",
+                        lambda n: [-c if (n, k) == (7, 3) else c for k, c in enumerate(right(n))])
     check, bound = SUITES["hermite"]
     assert check(bound) == "Hermite relation fails at n=7"
 
