@@ -38,11 +38,31 @@ def _usage(message: str) -> int:
     return EXIT_USAGE
 
 
-# Tables are computed in exact decimal, whose str() is linear in the number
-# of digits where str(int) is quadratic.  Every rounding is trapped, so a
-# table can fail but never print a wrong digit.
+# Tables are computed, and single values printed, in exact decimal, whose
+# str() is linear in the number of digits where str(int) is quadratic.
+# Every rounding is trapped, so a value can fail but never print a wrong digit.
 _EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
                          traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation])
+
+
+@functools.cache
+def _decimal_two_to(k: int) -> decimal.Decimal:
+    """2^k as an exact Decimal, for k a power of two, by squaring."""
+    return decimal.Decimal(2) if k == 1 else _decimal_two_to(k // 2) ** 2
+
+
+def _exact_decimal(value: int) -> decimal.Decimal:
+    """value >= 0 as an exact Decimal, split on its bits as hi 2^k + lo."""
+    if value.bit_length() <= 4096:
+        return decimal.Decimal(value)
+    k = 1 << (value.bit_length().bit_length() - 2)  # under half the bits
+    return _exact_decimal(value >> k) * _decimal_two_to(k) + _exact_decimal(value & (1 << k) - 1)
+
+
+def _print_int(value: int) -> None:
+    """print(value), through exact decimal, as str(int) is quadratic."""
+    with decimal.localcontext(_EXACT):
+        print(_exact_decimal(value))
 
 
 def _print_table(terms, name: str, args) -> None:
@@ -70,7 +90,7 @@ def _invol_n(args) -> None:
         coeffs = involution.involution_poly(args.n)
         print(poly_text((((k,), coeffs[k]) for k in reversed(range(len(coeffs)))), ["t"]))
     else:
-        print(involution.involution_number(args.n))
+        _print_int(involution.involution_number(args.n))
 
 
 def _print_poly(poly, fmt: str) -> None:
@@ -488,7 +508,7 @@ COMMANDS = {
         "table": _table(involution.involution_numbers, "involution-numbers"),
     },
     "sums": {
-        "n": Action(lambda a: print(partialsum.partial_sum(a.n)), {},
+        "n": Action(lambda a: _print_int(partialsum.partial_sum(a.n)), {},
                     refuse=lambda a: _at_most("sums --n: n", a.n, COUNT_BUDGET)),
         "table": _table(partialsum.partial_sums, "involution-partial-sums"),
         "cauchy": Action(lambda a: print(partialsum.cauchy_alternating_sum(a.cauchy)), {},
@@ -497,7 +517,7 @@ COMMANDS = {
                       refuse=lambda a: _at_most("sums --b-k: K", a.b_k, B_K_BUDGET)),
     },
     "restricted": {
-        None: Action(lambda a: print(cyclecount.restricted_count(a.n, a.l)), N_AND_L,
+        None: Action(lambda a: _print_int(cyclecount.restricted_count(a.n, a.l)), N_AND_L,
                      refuse=lambda a: _at_most("restricted: n*min(l, n)",
                                                max(a.n, 0) * min(a.l, a.n), RESTRICTED_BUDGET)),
         "cycle_index": Action(

@@ -50,9 +50,14 @@ class Cursor:
         with self._lock:
             if n < self._index:
                 self._generator, self._index = self._terms(), -1
-            while self._index < n:
-                self._term = next(self._generator)
-                self._index += 1
+            try:
+                while self._index < n:
+                    self._term = next(self._generator)
+                    self._index += 1
+            except BaseException:
+                # an exception inside next finishes the generator
+                self._generator, self._index = self._terms(), -1
+                raise
             return self._term
 
 

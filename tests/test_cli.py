@@ -3,6 +3,7 @@ import contextlib
 import decimal
 import functools
 import json
+import random
 import resource
 import signal
 import subprocess
@@ -13,6 +14,7 @@ import pytest
 
 from involutions import cli
 from involutions.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, SUITES, build_parser, run
+from involutions.cyclecount import restricted_count
 from involutions.exactnum import poly_text
 from involutions.involution import hermite_poly, involution_number
 from involutions.partialsum import partial_sum
@@ -203,6 +205,37 @@ def test_tables_run_in_an_exact_context():
     assert (cli._EXACT.Emax, cli._EXACT.Emin) == (decimal.MAX_EMAX, decimal.MIN_EMIN)
     for signal in (decimal.Inexact, decimal.Rounded, decimal.InvalidOperation):
         assert cli._EXACT.traps[signal]
+
+
+def test_exact_decimal_prints_as_str_int():
+    # single values print through _exact_decimal: hi 2^k + lo in exact decimal
+    rng = random.Random(32)
+    values = [0, 1, *(2**k for k in (1, 4095, 4096, 4097, 65536, 10**5)),
+              *(10**k + d for k in (1, 1233, 1234, 5000, 20000) for d in (-1, 1)),
+              *(rng.randrange(10 ** rng.randrange(1, 10**5)) for _ in range(8)), 10**10**5 - 1]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        with decimal.localcontext(cli._EXACT):
+            for value in values:
+                assert str(cli._exact_decimal(value)) == str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("argv, value", [
+    (["invol", "--n", "20000"], lambda: involution_number(20000)),
+    (["sums", "--n", "5000"], lambda: partial_sum(5000)),
+    (["restricted", "--n", "3000", "--l", "7"], lambda: restricted_count(3000, 7)),
+])
+def test_single_values_print_as_str_int(argv, value, capsys):
+    assert run(argv) == EXIT_OK
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert capsys.readouterr().out == str(value()) + "\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_invol_usage_error(capsys):

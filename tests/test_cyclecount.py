@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 from itertools import accumulate, islice, permutations
 from math import factorial, isqrt, prod
 
@@ -68,6 +69,29 @@ def test_exact_window_at_table_sizes(l):
     for n in (2000, 2500, 3000, 3500, 4000):
         assert _count_window(n, l) == (d[n], 0, 0)
         assert restricted_count(n, l) == d[n]
+
+
+def test_two_term_recurrence_matches_the_window():
+    # restricted_count steps d(m+1) = (m+1) d(m) - m!/(m-l)! d(m-l) for l >= 4
+    for n in range(301):
+        for l in range(1, 13):
+            assert restricted_count(n, l) == _count_window(n, l)[0], (n, l)
+
+
+@pytest.mark.parametrize("n, l", [(4000, 8), (20000, 10), (2000, 100)])
+def test_two_term_recurrence_at_scale(n, l):
+    assert restricted_count(n, l) == _count_window(n, l)[0]
+
+
+def test_restricted_count_clamps_l_to_n():
+    # d(n, l) = n! for l >= n; the window holds min(l, n) + 1 terms, not l + 1
+    tracemalloc.start()
+    try:
+        assert restricted_count(5, 10**7) == 120
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
 
 
 @pytest.mark.parametrize("n, l, bits", [(300, 3, 20), (1000, 2, 24), (500, 7, 30), (2000, 5, 40),

@@ -82,6 +82,26 @@ def test_cursor_under_concurrent_callers():
         sys.setswitchinterval(interval)
 
 
+def test_cursor_recovers_from_an_exception_inside_next():
+    # the first generator raises mid-stream, as an alarm or KeyboardInterrupt
+    # would; that finishes it, so the cursor must restart on the next read
+    made = []
+
+    def terms():
+        made.append(None)
+        for n, term in enumerate(involution_numbers()):
+            if len(made) == 1 and n == 7:
+                raise KeyboardInterrupt
+            yield term
+
+    cursor = Cursor("I", terms)
+    assert cursor.read(5) == KNOWN_TABLE[5]
+    with pytest.raises(KeyboardInterrupt):
+        cursor.read(9)
+    assert cursor.read(10) == KNOWN_TABLE[10]
+    assert cursor.read(6) == KNOWN_TABLE[6]
+
+
 def test_descending_read_restarts():
     assert involution_number(300) == involution_number_by_sum(300)
     assert involution_number(299) == involution_number_by_sum(299)
@@ -292,6 +312,9 @@ def test_negative_n_is_refused_not_read_as_an_empty_sum(call):
     (lambda: build_valuation_tree(9, 1), "9 is not an odd prime"),
     (lambda: restricted_count(-1, 2), "requires n >= 0 and l >= 1"),
     (lambda: restricted_count(3, 0), "requires n >= 0 and l >= 1"),
+    (lambda: restricted_count(-1, 10), "requires n >= 0 and l >= 1"),
+    (lambda: restricted_count(10, -3), "requires n >= 0 and l >= 1"),
+    (lambda: restricted_count(0, 0), "requires n >= 0 and l >= 1"),
     (lambda: toeplitz_matrix(-1, 2), "requires n >= 0 and l >= 1"),
     (lambda: toeplitz_matrix(3, 0), "requires n >= 0 and l >= 1"),
     (lambda: list(partitions(-1)), "partitions of negative n"),
@@ -305,7 +328,7 @@ def test_negative_n_is_refused_not_read_as_an_empty_sum(call):
     (lambda: multinomial(4, (4, 0)), "partition parts must be positive: (4, 0)"),
 ], ids=["nu2_involution", "nu2_floor", "nu2_partial_sum", "nu3_partial_sum", "scan_bound",
         "periodicity_composite", "tree_level", "tree_p2", "tree_composite", "restricted_n",
-        "restricted_l", "toeplitz_n", "toeplitz_l", "partitions", "census", "F_sum_beta",
+        "restricted_l", "restricted_n_two_term", "restricted_l_negative", "restricted_0_0", "toeplitz_n", "toeplitz_l", "partitions", "census", "F_sum_beta",
         "egf_order", "egf_x_power", "involution_modulus", "beta_k0", "beta_kl",
         "multinomial_part"])
 def test_input_outside_the_domain_is_refused(call, message):
