@@ -129,18 +129,14 @@ def estimate_saddle(n: int, l: int) -> SaddleEstimate:
 def log_exact_count(n: int, l: int) -> mpmath.mpf:
     """ln of the exact count d(n, l), bit for bit ln(mpf(restricted_count(n, l))).
 
-    The window recurrence runs on ints cut to P = prec + bits of n + 64 bits
-    (`_count_window`), in O(n l) steps, and bounds d(n, l) between low 2^s
-    and high 2^s, high = low + ceil(cuts low 2^-(P-2)), as cuts <= n.
-    Rounding to nearest is monotone, so when low and high round to the same
-    mpf, d(n, l) does too (Ziv's rounding test); when they do not, which the
-    64 guard bits make rare, the exact count is built and rounded.
+    `_count_window` brackets d(n, l) to a relative width under 2^-(prec+62).
+    Rounding to nearest is monotone, so if its ends round alike, d(n, l) does
+    too (Ziv's test); if not (rare), the exact count is built and rounded.
     """
     with mp.workdps(_precision(n)):
-        bits = mp.prec + n.bit_length() + 64
-        low, s, cuts = _count_window(n, l, bits)
+        low, high, s = _count_window(n, l, mp.prec + 64)
         rounded = mpf(low)
-        if rounded != mpf(low - (-cuts * low >> (bits - 2))):
+        if rounded != mpf(high):
             return mpmath.ln(mpf(restricted_count(n, l)))
         return mpmath.ln(mpmath.ldexp(rounded, s))
 

@@ -82,10 +82,12 @@ def restricted_count(n: int, l: int) -> int:
 
     d(n, l) = d(n, min(l, n)).  The EGF f = exp(x + ... + x^l/l) has
     (1 - x) f' = (1 - x^l) f, so d(m+1) = (m+1) d(m) - m!/(m-l)! d(m-l):
-    three big-int operations a step.  The Horner window of `_count_window`
-    takes 2(l - 1), two at l = 2 and four at l = 3, so it stays for l <= 3,
-    and for the scaled `log_exact_count`: on cut ints the subtraction lets
-    the m!-sized second solution swamp d(n, l).
+    three big-int operations a step, against 2(l - 1) in the Horner window of
+    `_count_window`.  Yet best of 5 it takes, over the window's time, 0.56-0.66x
+    up to n = 1000 and 1.03-1.14x at 8000-60000 at l = 3 (m!/(m-3)! has two
+    30-bit digits past m = 1024), and 0.92x at 1000 and 1.5-2.1x at 16000-60000
+    at l = 2.  So the window keeps l <= 3, and the cut ints of `log_exact_count`,
+    where the subtraction would let the m!-sized second solution swamp d(n, l).
     """
     if n < 0 or l < 1:
         raise ValueError("requires n >= 0 and l >= 1")
@@ -99,17 +101,17 @@ def restricted_count(n: int, l: int) -> int:
 
 
 def _count_window(n: int, l: int, bits: int = 0) -> tuple[int, int, int]:
-    """(low, s, cuts) with low 2^s <= d(n, l); exact, (d(n, l), 0, 0), when bits is 0.
+    """(low, high, s) with low 2^s <= d(n, l) <= high 2^s; (d, d, 0) when bits is 0.
 
-    Otherwise the window is kept as ints scaled by 2^-s.  d is nondecreasing,
-    so its oldest term is its smallest; once that one passes twice `bits`
-    bits, every term is shifted right until it has `bits` bits, and the cut
-    is counted.  A cut loses under 2^-(bits-1) of each term, and a step is a
-    positive combination of terms, so after `cuts` cuts
-    d(n, l) <= low 2^s (1 + cuts 2^-(bits-2)) while cuts 2^-(bits-1) <= 1/2.
+    Otherwise the window holds ints scaled by 2^-s, W = bits + bits of n wide:
+    once its oldest, smallest term passes 2W bits, all are shifted right until
+    it has W, losing under 2^-(W-1) of each.  Steps are positive combinations,
+    so c <= n cuts (c 2^-(W-1) <= 1/2 as bits >= 2) leave d(n, l) <= high 2^s
+    for high = low + ceil(c low 2^-(W-2)) < low (1 + 2^-(bits-2)).
     """
-    if n < 0 or l < 1:
-        raise ValueError("requires n >= 0 and l >= 1")
+    if n < 0 or l < 1 or bits < 0 or bits == 1:
+        raise ValueError("requires n >= 0, l >= 1 and bits 0 or at least 2")
+    width = bits and bits + n.bit_length()
     window = deque([1], maxlen=l)  # d(m), d(m-1), ..., d(m-l+1), times 2^-s
     s = cuts = 0
     for m in range(n):
@@ -119,11 +121,12 @@ def _count_window(n: int, l: int, bits: int = 0) -> tuple[int, int, int]:
         for j in range(len(window) - 2, -1, -1):
             acc = window[j] + (m - j) * acc
         window.appendleft(acc)
-        if bits and (t := window[-1].bit_length() - bits) > bits:
+        if width and (t := window[-1].bit_length() - width) > width:
             window = deque((term >> t for term in window), maxlen=l)
             s += t
             cuts += 1
-    return window[0], s, cuts
+    low = window[0]
+    return low, (low - (-cuts * low >> (width - 2)) if cuts else low), s
 
 
 def cycle_index_polys(l: int):

@@ -207,11 +207,28 @@ def test_log_exact_count_rounds_as_the_exact_count(monkeypatch):
     assert exact_path == []  # the rounding test decided every case
 
 
+@pytest.mark.parametrize("n, l", [(100, 2), (1000, 4)])
+def test_log_exact_count_takes_ln_of_the_rounded_count(monkeypatch, n, l):
+    # ln gets d(n, l) rounded at the working precision, not the window's wider low 2^s
+    args = []
+    real_ln = mpmath.ln
+    monkeypatch.setattr(mpmath, "ln", lambda x: args.append(
+        (x, mpmath.mpf(restricted_count(n, l)), mpmath.mp.prec)) or real_ln(x))
+    log_exact_count(n, l)
+    [(given, rounded, prec)] = args
+    assert given == rounded
+    assert given.man.bit_length() <= prec < restricted_count(n, l).bit_length()
+
+
 def test_log_exact_count_falls_back_on_a_straddle(monkeypatch):
-    # cuts = 2^bits puts the upper bound at 5 low, so the two roundings differ
+    # a bracket from low to 5 low, so the two roundings differ
     real = asymptotic._count_window
-    monkeypatch.setattr(asymptotic, "_count_window",
-                        lambda n, l, bits: (*real(n, l, bits)[:2], 1 << bits))
+
+    def wide(n, l, bits):
+        low, _, s = real(n, l, bits)
+        return low, 5 * low, s
+
+    monkeypatch.setattr(asymptotic, "_count_window", wide)
     exact_path = _spy_on_restricted_count(monkeypatch)
     assert log_exact_count(1000, 4) == _ln_of_exact_count(1000, 4)
     assert exact_path == [(1000, 4)]

@@ -67,7 +67,7 @@ def test_exact_window_at_table_sizes(l):
     # the sizes of the exact-tables workload's d(n, l) tasks; exact mode never cuts
     d = _counts_by_plain_recurrence(4000, l)
     for n in (2000, 2500, 3000, 3500, 4000):
-        assert _count_window(n, l) == (d[n], 0, 0)
+        assert _count_window(n, l) == (d[n], d[n], 0)
         assert restricted_count(n, l) == d[n]
 
 
@@ -95,14 +95,27 @@ def test_restricted_count_clamps_l_to_n():
 
 
 @pytest.mark.parametrize("n, l, bits", [(300, 3, 20), (1000, 2, 24), (500, 7, 30), (2000, 5, 40),
-                                        (40, 9, 8)])
+                                        (40, 9, 8), (40, 9, 2), (60, 3, 2)])
 def test_scaled_window_brackets_the_count(n, l, bits):
-    # d(n, l) lies in [low 2^s, (low + ceil(cuts low 2^-(bits-2))) 2^s]
-    low, s, cuts = _count_window(n, l, bits)
-    assert cuts > 0
-    high = low - (-cuts * low >> (bits - 2))
-    assert low << s <= restricted_count(n, l) <= high << s
-    assert low.bit_length() <= 2 * bits + n.bit_length() * l
+    # low 2^s <= d(m, l) <= high 2^s, to a relative width under 2^-(bits-2)
+    for m in (0, 1, l - 1, l, n):
+        low, high, s = _count_window(m, l, bits)
+        assert low << s <= restricted_count(m, l) <= high << s, m
+        assert (high - low) << (bits - 2) < low, m
+        assert low.bit_length() <= 2 * (bits + m.bit_length()) + m.bit_length() * l, m
+    assert s > 0  # the window was cut at n
+    d = restricted_count(n, l)
+    assert _count_window(n, l) == (d, d, 0)
+
+
+def test_scaled_window_keeps_its_brackets():
+    # the brackets of high = low + ceil(cuts low 2^-(W-2)), W = bits + bits of n,
+    # recorded when log_exact_count still computed high from the cut count
+    assert _count_window(300, 3, 20) == (3116882318586456318, 3116883293934939200, 1335)
+    assert _count_window(40, 9, 8) == (6464346957788676, 6473816216027625, 98)
+    for bits in (-1, 1):
+        with pytest.raises(ValueError, match="bits 0 or at least 2"):
+            _count_window(40, 9, bits)
 
 
 def test_cycle_index_examples():
