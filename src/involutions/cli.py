@@ -389,11 +389,13 @@ SUITES = {
 }
 
 # The largest --max each suite honours; None: the suite checks one statement
-# at a fixed bound.  A cap past the default is the largest round one that
-# runs in about 4 s as a process on a shared 2-vCPU host; its time there.
+# at a fixed bound.  A cap is where the check itself ends (the enumerated
+# census, the Toeplitz expansion), or else the largest round one that runs
+# in about 4 s as a process on a shared 2-vCPU host; its time there.
 MAX_BOUND = {
     **dict.fromkeys(("efficiency", "tree-5", "f-sum", "egf", "asymptotic")),
-    "tables": 10, "oracle": 8, "cycle-index": 20, "toeplitz": cyclecount.TOEPLITZ_MAX_N,
+    "tables": 10, "oracle": oracle.ENUMERATION_CAP, "cycle-index": 20,
+    "toeplitz": cyclecount.TOEPLITZ_MAX_N,
     "involution-forms": 1000, "partial-sum-forms": 2000, "cauchy": 400,  # 1.7, 1.5, 2.9 s
     "nu2-involution": 5 * 10**4, "nu2-partial-sum": 5 * 10**4,  # 1.6, 2.0 s
     "periodicity": 2 * 10**6, "nu3-pattern": 5 * 10**6,  # 3.7, 2.8 s

@@ -5,11 +5,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations as iter_permutations
 
 from .exactnum import partitions
 
-ENUMERATION_CAP = 9  # 9! = 362880 permutations
+ENUMERATION_CAP = 9  # 9! = 362880 permutations: 0.05 s, or 0.14 s as `oracle --n 9`, on 2 vCPUs
 CENSUS_BUDGET = 50  # p(50) = 204226 entries: about 2 s and 93 MB as a process; memory grows as p(n)
 
 
@@ -40,31 +39,52 @@ class CycleCensus:
 def enumerate_census(n: int) -> CycleCensus:
     """Exhaustive census over all n! permutations; capped at n <= 9.
 
-    Each permutation's cycles are walked once, each from its first unseen
-    element, and a cycle of length L adds (n+1)^(L-1) to the permutation's
-    integer code.  A multiplicity is at most n < n+1, so the code is the
-    base-(n+1) number whose digit L-1 counts the cycles of length L: it
-    determines the cycle type.  The codes are tallied, and each distinct
-    code is decoded into its weakly decreasing partition once, at the end.
+    The permutations are built by cycle insertion: symbol k goes either into
+    a new 1-cycle or right after one of the symbols 0..k-1, in that symbol's
+    cycle.  Every permutation of n symbols arises exactly once, and each
+    step changes one cycle length.  A permutation's integer code is the
+    base-(n+1) number whose digit L-1 counts its cycles of length L (a
+    multiplicity is at most n < n+1, so the code determines the cycle type).
+    A new 1-cycle adds 1 to it; growing a cycle of length L adds
+    (n+1)^L - (n+1)^(L-1).  The walk keeps each symbol's cycle and each
+    cycle's length, and undoes a growth when it backs out.  Each of the n!
+    permutations adds 1 to the tally of its code as the last symbol is
+    placed, and each distinct code is decoded into its weakly decreasing
+    partition once, at the end.
     """
     if n < 0 or n > ENUMERATION_CAP:
         raise ValueError(f"enumeration requires 0 <= n <= {ENUMERATION_CAP}")
     base = n + 1
+    # grow[L]: the code's change when a cycle of length L gets one more symbol
+    grow = [0] + [base ** length - base ** (length - 1) for length in range(1, n)]
     codes: dict[int, int] = {}
-    for perm in iter_permutations(range(n)):
-        seen = [False] * n
-        code = 0
-        for start in range(n):
-            if seen[start]:
-                continue
-            weight = 1
-            j = perm[start]
-            while j != start:
-                seen[j] = True
-                j = perm[j]
-                weight *= base
-            code += weight
-        codes[code] = codes.get(code, 0) + 1
+    cycle_of = [0] * n  # the cycle each placed symbol lies in
+    cycle_length = [0] * n
+    last = n - 1
+
+    def place(k: int, code: int, cycles: int) -> None:
+        # symbols 0..k-1 lie in `cycles` cycles, and `code` is their code
+        if k == last:
+            codes[code + 1] = codes.get(code + 1, 0) + 1
+            for j in range(k):
+                leaf = code + grow[cycle_length[cycle_of[j]]]
+                codes[leaf] = codes.get(leaf, 0) + 1
+            return
+        cycle_of[k] = cycles
+        cycle_length[cycles] = 1
+        place(k + 1, code + 1, cycles + 1)
+        for j in range(k):
+            c = cycle_of[j]
+            length = cycle_length[c]
+            cycle_length[c] = length + 1
+            cycle_of[k] = c
+            place(k + 1, code + grow[length], cycles)
+            cycle_length[c] = length
+
+    if n == 0:
+        codes[0] = 1
+    else:
+        place(0, 0, 0)
     counts: dict[tuple[int, ...], int] = {}
     for code, count in codes.items():
         lam = []

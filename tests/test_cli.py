@@ -472,7 +472,7 @@ def test_verify_toeplitz_at_its_bound(capsys):
     ["--suite", "tree-5", "--max", "5"],
     ["--suite", "f-sum", "--max", "10"],
     ["--suite", "egf", "--max", "30"],
-    ["--suite", "oracle", "--max", "9"],
+    ["--suite", "oracle", "--max", "10"],
     ["--suite", "cycle-index", "--max", "21"],
     ["--suite", "toeplitz", "--max", "13"],
     ["--suite", "cauchy", "--max", "-1"],
@@ -958,8 +958,8 @@ REFUSAL_LINES = {
         "verify: suite f-sum checks a fixed bound; --max is not supported",
     "verify --suite egf --max 30":
         "verify: suite egf checks a fixed bound; --max is not supported",
-    "verify --suite oracle --max 9":
-        "verify: suite oracle runs up to --max 8, not 9",
+    "verify --suite oracle --max 10":
+        "verify: suite oracle runs up to --max 9, not 10",
     "verify --suite cycle-index --max 21":
         "verify: suite cycle-index runs up to --max 20, not 21",
     "verify --suite toeplitz --max 13":

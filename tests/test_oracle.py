@@ -13,9 +13,9 @@ from involutions.oracle import census_cycle_index_terms, enumerate_census, parti
 
 
 def cycle_type(perm: tuple[int, ...]) -> tuple[int, ...]:
-    """Cycle type of a permutation given in one-line notation on 0..n-1: the
-    walk the census made per permutation before it tallied integer codes,
-    kept here as the reference."""
+    """Cycle type of a permutation given in one-line notation on 0..n-1, by
+    walking each cycle from its first unseen element: the naive reference
+    the census, built by cycle insertion, is compared against."""
     seen = [False] * len(perm)
     lengths = []
     for start in range(len(perm)):
@@ -39,7 +39,7 @@ def test_cycle_type_examples():
 
 
 def test_census_codes_decode_to_the_reference_cycle_types():
-    for n in range(8):
+    for n in range(9):
         counts = {}
         for perm in permutations(range(n)):
             key = cycle_type(perm)
@@ -48,13 +48,18 @@ def test_census_codes_decode_to_the_reference_cycle_types():
 
 
 def test_enumeration_totals():
-    for n in range(8):
+    for n in range(oracle.ENUMERATION_CAP + 1):
         assert sum(enumerate_census(n).counts.values()) == factorial(n)
 
 
 def test_enumeration_matches_formula():
-    for n in range(8):
+    for n in range(oracle.ENUMERATION_CAP + 1):
         assert enumerate_census(n).counts == partition_census(n).counts
+
+
+def test_enumeration_base_cases():
+    assert enumerate_census(0).counts == {(): 1}
+    assert enumerate_census(1).counts == {(1,): 1}
 
 
 def test_partition_census_larger_n():
