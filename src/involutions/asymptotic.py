@@ -3,7 +3,9 @@
 Floating computations run through mpmath, except the fixed-point Newton loop
 of `solve_saddle`, at DEFAULT_DPS digits or 20 digits past those of n when
 that is more, and stay in log-space until the end; the exponent-polynomial
-coefficients are exact rationals.
+coefficients are exact rationals.  The numerical fit of Phi(eta) is
+polynomial interpolation in eta, solved in Newton form in O(N^2) steps;
+mpmath solves no linear system here.
 """
 
 from __future__ import annotations
@@ -242,27 +244,38 @@ def fit_phi_coefficients(l: int, sample_ns=None) -> dict[int, float]:
     Returns the fitted coefficients for k = 0..l; used to confirm the
     closed-form beta_0 and beta_l numerically.  A few negative powers are
     included in the basis to absorb the 1/eta tail of the expansion.  There
-    is one sample per basis power, so the fit is interpolation, solved at
-    high precision (the design matrix spans many orders of magnitude); any
-    other number of samples raises ValueError.
+    is one sample per basis power, so the fit is interpolation: sample i,
+    sum_k c_k eta_i^k = Phi_i, times eta_i^4 says that c_(j-4), j = 0..N-1
+    with N = l + 5, are the monomial coefficients of the polynomial through
+    the points (eta_i, eta_i^4 Phi_i).  That Vandermonde system is solved at
+    DEFAULT_DPS digits as Bjorck and Pereyra do (Math. Comp. 24, 1970):
+    Newton divided differences, then the Newton form expanded to monomials,
+    N(N-1)/2 divisions and as many multiply-subtracts.  Any other number of
+    samples, a sample n < 1, a repeated n or l < 1 raises ValueError before
+    any saddle solve.
     """
-    powers = list(range(-4, l + 1))
+    if l < 1:
+        raise ValueError("requires l >= 1")
+    count = l + 5
     if sample_ns is None:
         # spread within [1e4, 1e6]
-        count = len(powers)
         sample_ns = [
             int(round(10 ** (4 + 2 * i / (count - 1)))) for i in range(count)
         ]
-    elif len(sample_ns) != len(powers):
-        raise ValueError(
-            f"requires {len(powers)} samples, one per power eta^-4..eta^{l}"
-        )
+    elif len(sample_ns) != count:
+        raise ValueError(f"requires {count} samples, one per power eta^-4..eta^{l}")
+    for i, n in enumerate(sample_ns):
+        if n < 1:
+            raise ValueError(f"sample n = {n} is not positive")
+        if n in sample_ns[:i]:
+            raise ValueError(f"sample n = {n} is repeated")
     with mp.workdps(DEFAULT_DPS):
-        rows = []
-        rhs = []
-        for n in sample_ns:
-            eta = mpf(n) ** (mpf(1) / l)
-            rows.append([eta**k for k in powers])
-            rhs.append(phi_at(n, l))
-        coeffs = mpmath.lu_solve(mpmath.matrix(rows), mpmath.matrix(rhs))
-        return {k: float(coeffs[i]) for i, k in enumerate(powers) if k >= 0}
+        etas = [mpf(n) ** (mpf(1) / l) for n in sample_ns]
+        a = [eta**4 * phi_at(n, l) for n, eta in zip(sample_ns, etas)]
+        for k in range(1, count):  # divided differences, in place
+            for i in range(count - 1, k - 1, -1):
+                a[i] = (a[i] - a[i - 1]) / (etas[i] - etas[i - k])
+        for k in range(count - 2, -1, -1):  # Newton form to monomials
+            for i in range(k, count - 1):
+                a[i] -= etas[k] * a[i + 1]
+        return {k: float(a[k + 4]) for k in range(l + 1)}

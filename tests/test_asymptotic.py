@@ -413,6 +413,58 @@ def test_phi_fit_rejects_a_wrong_sample_count():
         fit_phi_coefficients(2, ns)
 
 
+def test_phi_fit_refuses_bad_input_before_any_solve(monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("saddle solve began")
+    monkeypatch.setattr(asymptotic, "solve_saddle", no_solve)
+    good = [10**4 * 2**i for i in range(7)]
+    with pytest.raises(ValueError, match="sample n = 40000 is repeated"):
+        fit_phi_coefficients(2, good[:6] + [40000])
+    with pytest.raises(ValueError, match="sample n = 0 is not positive"):
+        fit_phi_coefficients(2, [0] + good[1:])
+    with pytest.raises(ValueError, match="sample n = -5 is not positive"):
+        fit_phi_coefficients(2, good[:3] + [-5] + good[4:])
+    for l in (0, -1, -4, -5):
+        with pytest.raises(ValueError, match="requires l >= 1"):
+            fit_phi_coefficients(l)
+    with pytest.raises(AssertionError, match="saddle solve began"):
+        fit_phi_coefficients(2, good)
+
+
+def _dense_phi_fit(l, sample_ns=None):
+    """The fit as a dense solve: LU on the eta^k design matrix, k = -4..l."""
+    count = l + 5
+    if sample_ns is None:
+        sample_ns = [int(round(10 ** (4 + 2 * i / (count - 1)))) for i in range(count)]
+    with mpmath.mp.workdps(DEFAULT_DPS):
+        etas = [mpmath.mpf(n) ** (mpmath.mpf(1) / l) for n in sample_ns]
+        rows = [[eta**k for k in range(-4, l + 1)] for eta in etas]
+        rhs = [phi_at(n, l) for n in sample_ns]
+        coeffs = mpmath.lu_solve(mpmath.matrix(rows), mpmath.matrix(rhs))
+        return {k: float(coeffs[k + 4]) for k in range(l + 1)}
+
+
+@pytest.mark.parametrize("l", range(2, 9))
+def test_phi_fit_floats_match_the_dense_solve(l):
+    assert fit_phi_coefficients(l) == _dense_phi_fit(l)
+
+
+# the fit samples of the saddle-sweep benchmark workload, seeds 1, 2 and 3
+SWEEP_FIT_SAMPLES = [
+    (2, [11598, 17148, 48493, 95036, 237456, 491270, 1000000]),
+    (3, [10363, 17536, 35129, 80088, 153855, 227697, 568545, 1000000]),
+    (2, [10000, 22286, 44242, 117718, 221756, 385237, 798871]),
+    (3, [10000, 18347, 31348, 77640, 168930, 285443, 506637, 1000000]),
+    (2, [10457, 18289, 44956, 95350, 258637, 583022, 1000000]),
+    (3, [10000, 19267, 31557, 81267, 126175, 236247, 457556, 1000000]),
+]
+
+
+@pytest.mark.parametrize("l, ns", SWEEP_FIT_SAMPLES)
+def test_phi_fit_floats_match_the_dense_solve_on_sweep_samples(l, ns):
+    assert fit_phi_coefficients(l, ns) == _dense_phi_fit(l, ns)
+
+
 def test_phi_at_positive_and_growing():
     values = [phi_at(n, 2) for n in (100, 1000, 10000)]
     assert all(v > 0 for v in values)
