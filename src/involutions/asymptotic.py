@@ -11,6 +11,7 @@ mpmath solves no linear system here.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -135,6 +136,7 @@ def log_exact_count(n: int, l: int) -> mpmath.mpf:
     Rounding to nearest is monotone, so if its ends round alike, d(n, l) does
     too (Ziv's test); if not (rare), the exact count is built and rounded.
     """
+    n, l = operator.index(n), operator.index(l)
     with mp.workdps(_precision(n)):
         low, high, s = _count_window(n, l, mp.prec + 64)
         rounded = mpf(low)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from collections import deque
 from itertools import count, islice
 
@@ -83,12 +84,12 @@ def restricted_count(n: int, l: int) -> int:
     d(n, l) = d(n, min(l, n)).  The EGF f = exp(x + ... + x^l/l) has
     (1 - x) f' = (1 - x^l) f, so d(m+1) = (m+1) d(m) - m!/(m-l)! d(m-l):
     three big-int operations a step, against 2(l - 1) in the Horner window of
-    `_count_window`.  Yet best of 5 it takes, over the window's time, 0.56-0.66x
-    up to n = 1000 and 1.03-1.14x at 8000-60000 at l = 3 (m!/(m-3)! has two
-    30-bit digits past m = 1024), and 0.92x at 1000 and 1.5-2.1x at 16000-60000
-    at l = 2.  So the window keeps l <= 3, and the cut ints of `log_exact_count`,
-    where the subtraction would let the m!-sized second solution swamp d(n, l).
+    `_count_window`.  Yet best of 5 it takes, over the time of the window's
+    dedicated steps, 1.1-1.6x at l = 3 and 1.8-2.9x at l = 2 for n = 250-60000.
+    So the window keeps l <= 3, and the cut ints of `log_exact_count`, where
+    the subtraction would let the m!-sized second solution swamp d(n, l).
     """
+    n, l = operator.index(n), operator.index(l)
     if n < 0 or l < 1:
         raise ValueError("requires n >= 0 and l >= 1")
     l = min(l, n)
@@ -108,24 +109,47 @@ def _count_window(n: int, l: int, bits: int = 0) -> tuple[int, int, int]:
     it has W, losing under 2^-(W-1) of each.  Steps are positive combinations,
     so c <= n cuts (c 2^-(W-1) <= 1/2 as bits >= 2) leave d(n, l) <= high 2^s
     for high = low + ceil(c low 2^-(W-2)) < low (1 + 2^-(bits-2)).
+    l = 2 and 3 step on local ints: the deque loop took 2-3x as long there.
     """
+    n, l, bits = operator.index(n), operator.index(l), operator.index(bits)
     if n < 0 or l < 1 or bits < 0 or bits == 1:
         raise ValueError("requires n >= 0, l >= 1 and bits 0 or at least 2")
+    if l == 1:
+        return 1, 1, 0  # d(n, 1) = 1
     width = bits and bits + n.bit_length()
-    window = deque([1], maxlen=l)  # d(m), d(m-1), ..., d(m-l+1), times 2^-s
     s = cuts = 0
-    for m in range(n):
-        # d(m+1) = sum_{j=0}^{l-1} m!/(m-j)! d(m-j), in Horner form
-        # d(m) + m (d(m-1) + (m-1) (d(m-2) + ...)): big times small only
-        acc = window[-1]
-        for j in range(len(window) - 2, -1, -1):
-            acc = window[j] + (m - j) * acc
-        window.appendleft(acc)
-        if width and (t := window[-1].bit_length() - width) > width:
-            window = deque((term >> t for term in window), maxlen=l)
-            s += t
-            cuts += 1
-    low = window[0]
+    if l == 2:
+        a, b = 1, 0  # d(m), d(m-1), times 2^-s
+        for m in range(n):
+            a, b = a + m * b, a
+            if width and (t := b.bit_length() - width) > width:
+                a, b = a >> t, b >> t
+                s += t
+                cuts += 1
+        low = a
+    elif l == 3:
+        a, b, c = 1, 0, 0  # d(m), d(m-1), d(m-2), times 2^-s
+        for m in range(n):
+            a, b, c = a + m * (b + (m - 1) * c), a, b
+            if width and (t := c.bit_length() - width) > width:
+                a, b, c = a >> t, b >> t, c >> t
+                s += t
+                cuts += 1
+        low = a
+    else:
+        window = deque([1], maxlen=l)  # d(m), d(m-1), ..., d(m-l+1), times 2^-s
+        for m in range(n):
+            # d(m+1) = sum_{j=0}^{l-1} m!/(m-j)! d(m-j), in Horner form
+            # d(m) + m (d(m-1) + (m-1) (d(m-2) + ...)): big times small only
+            acc = window[-1]
+            for j in range(len(window) - 2, -1, -1):
+                acc = window[j] + (m - j) * acc
+            window.appendleft(acc)
+            if width and (t := window[-1].bit_length() - width) > width:
+                window = deque((term >> t for term in window), maxlen=l)
+                s += t
+                cuts += 1
+        low = window[0]
     return low, (low - (-cuts * low >> (width - 2)) if cuts else low), s
 
 

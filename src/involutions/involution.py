@@ -7,6 +7,7 @@ coefficient of t^k, and the last entry is nonzero.
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from itertools import count, islice
 
@@ -45,6 +46,7 @@ class Cursor:
         self._generator, self._index, self._term = terms(), -1, None
 
     def read(self, n: int) -> int:
+        n = operator.index(n)  # refuses a float, which would read the next index up
         if n < 0:
             raise ValueError(f"{self._name} of negative index")
         with self._lock:

@@ -1,6 +1,7 @@
 import json
 import random
 import tracemalloc
+from collections import deque
 from itertools import accumulate, islice, permutations
 from math import factorial, isqrt, prod
 
@@ -108,11 +109,40 @@ def test_scaled_window_brackets_the_count(n, l, bits):
     assert _count_window(n, l) == (d, d, 0)
 
 
+def _horner_window(n, l, bits=0):
+    """The generic deque window of `_count_window`, kept as the reference of
+    its dedicated l = 1, 2 and 3 steps."""
+    width = bits and bits + n.bit_length()
+    window = deque([1], maxlen=l)
+    s = cuts = 0
+    for m in range(n):
+        acc = window[-1]
+        for j in range(len(window) - 2, -1, -1):
+            acc = window[j] + (m - j) * acc
+        window.appendleft(acc)
+        if width and (t := window[-1].bit_length() - width) > width:
+            window = deque((term >> t for term in window), maxlen=l)
+            s += t
+            cuts += 1
+    low = window[0]
+    return low, (low - (-cuts * low >> (width - 2)) if cuts else low), s
+
+
+@pytest.mark.parametrize("l", [1, 2, 3])
+def test_dedicated_steps_match_the_generic_window(l):
+    for bits in (0, 2, 3, 20, 64, 117):
+        for n in range(401):
+            assert _count_window(n, l, bits) == _horner_window(n, l, bits), (n, bits)
+
+
 def test_scaled_window_keeps_its_brackets():
     # the brackets of high = low + ceil(cuts low 2^-(W-2)), W = bits + bits of n,
-    # recorded when log_exact_count still computed high from the cut count
+    # recorded when log_exact_count still computed high from the cut count;
+    # the l = 2 one when l = 2 still ran the generic window
+    assert _count_window(300, 2, 20) == (4839901742295216088, 4839902860157634466, 980)
     assert _count_window(300, 3, 20) == (3116882318586456318, 3116883293934939200, 1335)
     assert _count_window(40, 9, 8) == (6464346957788676, 6473816216027625, 98)
+    assert _count_window(10**12, 1, 64) == (1, 1, 0)  # d(n, 1) = 1, no steps taken
     for bits in (-1, 1):
         with pytest.raises(ValueError, match="bits 0 or at least 2"):
             _count_window(40, 9, bits)

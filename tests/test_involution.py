@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from involutions import involution
-from involutions.asymptotic import beta_series_extraction
+from involutions.asymptotic import beta_series_extraction, log_exact_count
 from involutions.cli import _EXACT, EXIT_USAGE, SUITES, run
-from involutions.cyclecount import restricted_count, toeplitz_matrix
+from involutions.cyclecount import _count_window, restricted_count, toeplitz_matrix
 from involutions.exactnum import multinomial, nu_int, partitions
 from involutions.involution import (
     POLY_BUDGET,
@@ -27,7 +27,7 @@ from involutions.involution import (
     umbral_derivative_coeffs,
 )
 from involutions.oracle import partition_census
-from involutions.partialsum import F_sum, partial_sum_by_binomial
+from involutions.partialsum import F_sum, partial_sum, partial_sum_by_binomial
 from involutions.series import TruncatedEGF
 from involutions.valuation import (
     build_valuation_tree,
@@ -108,6 +108,37 @@ def test_descending_read_restarts():
     assert involution_number(299) == involution_number_by_sum(299)  # same index
     with pytest.raises(ValueError):
         involution_number(-1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: involution_number(2.5),
+    lambda: partial_sum(3.2),
+    lambda: restricted_count(5.0, 2),
+    lambda: restricted_count(5, 2.0),
+    lambda: restricted_count(5, 4.0),
+    lambda: _count_window(5.0, 2),
+    lambda: _count_window(5, 2.0),
+    lambda: _count_window(5, 3, 20.0),
+    lambda: log_exact_count(5.0, 3),
+    lambda: log_exact_count(50, 2.0),
+], ids=["involution", "partial_sum", "restricted_n", "restricted_l", "restricted_l_two_term",
+        "window_n", "window_l", "window_bits", "log_exact_n", "log_exact_l"])
+def test_a_non_integer_index_is_refused(call):
+    # a float index was read as the next integer up, or refused only by accident
+    with pytest.raises(TypeError):
+        call()
+
+
+def test_a_read_after_a_refused_read_still_works():
+    cursor = Cursor("I", involution_numbers)
+    assert cursor.read(5) == KNOWN_TABLE[5]
+    with pytest.raises(TypeError):
+        cursor.read(5.5)
+    assert cursor.read(6) == KNOWN_TABLE[6]
+    assert cursor.read(4) == KNOWN_TABLE[4]
+    with pytest.raises(TypeError):
+        partial_sum(2.0)
+    assert partial_sum(3) == sum(KNOWN_TABLE[:4])
 
 
 def test_reads_run_in_constant_memory(run_measured):
