@@ -1,11 +1,14 @@
 """Saddle-point first-order estimates for bounded-cycle permutation counts.
 
-Floating computations run through mpmath, except the fixed-point Newton loop
-of `solve_saddle`, at DEFAULT_DPS digits or 20 digits past those of n when
-that is more, and stay in log-space until the end; the exponent-polynomial
-coefficients are exact rationals.  The numerical fit of Phi(eta) is
-polynomial interpolation in eta, solved in Newton form in O(N^2) steps;
-mpmath solves no linear system here.
+Floating computations run through mpmath at DEFAULT_DPS digits, or 20 digits
+past those of n when that is more, and stay in log-space until the end; the
+exponent-polynomial coefficients are exact rationals.  The saddle point is the
+exception: its Newton loop runs on ints in fixed point at that precision, from
+a double-precision root raised just above the true one and checked exactly,
+and starts from mpmath's n^(1/l) only when that check fails or n is past
+double range.  The numerical fit of Phi(eta) is polynomial interpolation in
+eta, solved in Newton form in O(N^2) steps; mpmath solves no linear system
+here.
 """
 
 from __future__ import annotations
@@ -17,12 +20,13 @@ from fractions import Fraction
 
 import mpmath
 from mpmath import mp, mpf
+from mpmath.libmp import dps_to_prec
 
 from .cyclecount import _count_window, restricted_count
 
 DEFAULT_DPS = 40
 # largest l of every asym action: a Newton step is an l-term Horner pass, and
-# (10, 10^4) takes 0.07 s; beta_k is one product of up to l - 1 ints
+# (10, 10^4) takes 0.02 s; beta_k is one product of up to l - 1 ints
 SADDLE_BUDGET = 10**4
 # largest l of estimate_closed_form, whose l - 1 interior products of up to
 # l factors grow as l^3: (10^6, 400) takes 0.08/0.15 s (extracted/printed)
@@ -50,46 +54,89 @@ class SaddleSolution:
     residual: mpmath.mpf
 
 
+def _horner(u: int, l: int, k: int, bits: int) -> tuple[int, int]:
+    """u^l + 2^-k u^(l-1) + ... + 2^(-(l-1)k) u and its slope in u, in fixed
+    point at 2^bits; at the root the value is n 2^(-lk)."""
+    one = 1 << bits
+    value, slope = one, 0
+    for m in range(1, l):
+        slope = value + (u * slope >> bits)
+        value = (u * value >> bits) + (one >> m * k)
+    return u * value >> bits, value + (u * slope >> bits)
+
+
+def _float_root(n: int, l: int) -> float:
+    """The root of r + r^2 + ... + r^l = n in doubles, by Newton from n^(1/l).
+
+    The same Horner pass and stop rule as `solve_saddle`, in floats.  NaN
+    for an n past double range; an overflow inside the loop ends it early.
+    """
+    try:
+        target = float(n)
+    except OverflowError:
+        return math.nan
+    r = target ** (1 / l)
+    while True:
+        value, slope = 1.0, 0.0
+        for _ in range(1, l):
+            slope = value + r * slope
+            value = r * value + 1.0
+        step = r - (r * value - target) / (value + r * slope)
+        if not step < r:
+            return r
+        r = step
+
+
 def solve_saddle(n: int, l: int) -> SaddleSolution:
     """Unique positive root of r + r^2 + ... + r^l = n.
 
-    Newton iteration from n^(1/l), the value and the slope from one Horner
-    pass, on ints in fixed point: r = 2^k u with 2^k the largest power of
-    two not above n^(1/l), and U = u 2^bits at the working precision, 20
-    digits past those of n, plus guard bits.  The left side minus n is
-    increasing and convex for r > 0 and nonnegative at the start, so the
-    iterates fall onto the root.  A step subtracts the floor of the Newton
-    correction, nonnegative while the value is at least the target, so the
-    iterates fall strictly; the floor rounds a step up, so an iterate falls
-    below the root only by the Horner pass's rounding error.  The integer
-    iterates are bounded below, and the first step that does not fall
-    leaves r at the root to the working precision.  An l past SADDLE_BUDGET
-    is refused before any work.
+    Newton iteration, the value and the slope from one Horner pass, on ints
+    in fixed point: r = 2^k u with 2^k the largest power of two not above
+    n^(1/l), and U = u 2^bits at the working precision, 20 digits past those
+    of n, plus guard bits.  The left side minus n is increasing and convex
+    for r > 0, so from a start at or above the root the iterates fall onto
+    it.  The start is the double-precision root (`_float_root`) raised by a
+    relative 2^-40, and the first Horner pass checks exactly that it is not
+    below the root.  If the value there is below n, or the double root is
+    not finite and positive (n past double range), the start is n^(1/l) from
+    mpmath, which is above the root.  A step subtracts the floor of the
+    Newton correction, nonnegative while the value is at least the target,
+    so the iterates fall strictly; the floor rounds a step up, so an iterate
+    falls below the root only by the Horner pass's rounding error.  The
+    integer iterates are bounded below, and the first step that does not
+    fall leaves r at the root to the working precision.  An l past
+    SADDLE_BUDGET is refused before any work.
     """
     if n < 1 or l < 1:
         raise ValueError("requires n >= 1 and l >= 1")
     _refuse_past_budget(l)
-    with mp.workdps(_precision(n)):
-        start = mpmath.root(mpf(n), l)
-        # guard bits for the l truncations of a Horner pass
-        bits = mp.prec + l.bit_length() + 4
-    k = max(0, int(start).bit_length() - 1)  # integer parts up to about 2^l, not n
-    one = 1 << bits
+    dps = _precision(n)
+    # mp.prec under mp.workdps(dps), plus guard bits for the l truncations
+    # of a Horner pass
+    bits = dps_to_prec(dps) + l.bit_length() + 4
+    k = (n.bit_length() - 1) // l  # 2^(kl) <= n < 2^((k+1)l), so u < 2 at the root
     target = (n << bits) >> (l * k)
-    u = int(mpmath.ldexp(start, bits - k))
+    start = _float_root(n, l) * (1 + 2**-40)
+    u = 0  # no double start: the fallback below takes over
+    if 0 < start < math.inf:
+        # frexp keeps the double's 53 bits exact and shifts them as an int,
+        # since 2^(bits - k) is past double range at high precision
+        mantissa, exponent = math.frexp(start)
+        shift = exponent - 53 + bits - k
+        u = int(math.ldexp(mantissa, 53))
+        u = u << shift if shift >= 0 else u >> -shift
+    value, slope = _horner(u, l, k, bits)
+    if value < target:  # below the root, or no double start
+        with mp.workdps(dps):
+            u = int(mpmath.ldexp(mpmath.root(mpf(n), l), bits - k))
+        value, slope = _horner(u, l, k, bits)
     while True:
-        # u^l + 2^-k u^(l-1) + ... + 2^(-(l-1)k) u, n 2^(-lk) at the root
-        value, slope = one, 0
-        for m in range(1, l):
-            slope = value + (u * slope >> bits)
-            value = (u * value >> bits) + (one >> m * k)
-        slope = value + (u * slope >> bits)
-        value = u * value >> bits
         step = u - ((value - target) << bits) // slope
         if not step < u:
             return SaddleSolution(mpmath.ldexp(u, k - bits),
                                   mpmath.ldexp(value - target, l * k - bits))
         u = step
+        value, slope = _horner(u, l, k, bits)
 
 
 def log_factorial(n: int) -> mpmath.mpf:

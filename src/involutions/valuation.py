@@ -9,6 +9,7 @@ pattern of the partial sums.
 from __future__ import annotations
 
 import json
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from heapq import merge
@@ -21,6 +22,7 @@ from .involution import involution_numbers
 
 def nu2_involution(n: int) -> int:
     """2-adic valuation of the n-th involution number, piecewise in n mod 4."""
+    n = operator.index(n)  # refuses a float, which the branches would accept
     if n < 0:
         raise ValueError("requires n >= 0")
     k, r = divmod(n, 4)
@@ -29,6 +31,7 @@ def nu2_involution(n: int) -> int:
 
 def nu2_involution_floor(n: int) -> int:
     """Equivalent floor form: floor(n/2) - 2 floor(n/4) + floor((n+1)/4)."""
+    n = operator.index(n)  # refuses a float, which the branches would accept
     if n < 0:
         raise ValueError("requires n >= 0")
     return n // 2 - 2 * (n // 4) + (n + 1) // 4
@@ -40,6 +43,7 @@ def nu2_partial_sum(n: int) -> int:
     n = 0 falls outside the four residue classes; a(0) = 1 so the value 0
     is returned by convention.
     """
+    n = operator.index(n)  # refuses a float, which the branches would accept
     if n < 0:
         raise ValueError("requires n >= 0")
     if n == 0:
@@ -311,6 +315,7 @@ def nu3_partial_sum(n: int) -> int:
     0 unless n mod 9 is 4, 6 or 8; 2 at 4 mod 9; 1 at 6 mod 9; and for
     n = 9m+8 the value is 2 when m mod 3 is 0 or 1, else 2 + nu_3(m+1).
     """
+    n = operator.index(n)  # refuses a float, which the branches would accept
     if n < 0:
         raise ValueError("requires n >= 0")
     r = n % 9

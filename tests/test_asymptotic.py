@@ -1,4 +1,6 @@
 import json
+import math
+import random
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -114,6 +116,92 @@ SADDLE_GOLDEN = {
 def test_solve_saddle_golden_table():
     printed = {(e, l): mpmath.nstr(solve_saddle(10**e, l).r_plus, 17) for e, l in SADDLE_GOLDEN}
     assert printed == SADDLE_GOLDEN
+
+
+def _root_from_n_to_the_1_over_l(n, l):
+    """r_plus as the solver gave it when it started from mpmath's n^(1/l):
+    the same fixed-point Newton loop, kept as the tests' reference."""
+    with mpmath.mp.workdps(_precision(n)):
+        start = mpmath.root(mpmath.mpf(n), l)
+        bits = mpmath.mp.prec + l.bit_length() + 4
+    k = max(0, int(start).bit_length() - 1)
+    one = 1 << bits
+    target = (n << bits) >> (l * k)
+    u = int(mpmath.ldexp(start, bits - k))
+    while True:
+        value, slope = one, 0
+        for m in range(1, l):
+            slope = value + (u * slope >> bits)
+            value = (u * value >> bits) + (one >> m * k)
+        slope = value + (u * slope >> bits)
+        value = u * value >> bits
+        step = u - ((value - target) << bits) // slope
+        if not step < u:
+            return mpmath.ldexp(u, k - bits)
+        u = step
+
+
+def _assert_agrees_with_the_mpmath_start(n, l):
+    # the two starts may stop on neighbouring iterates, so the last bits may
+    # differ, never a printed digit
+    root, reference = solve_saddle(n, l).r_plus, _root_from_n_to_the_1_over_l(n, l)
+    with mpmath.mp.workdps(2 * _precision(n)):
+        assert abs(root / reference - 1) < mpmath.mpf(10) ** (1 - _precision(n)), (n, l)
+    assert mpmath.nstr(root, 17) == mpmath.nstr(reference, 17), (n, l)
+
+
+@pytest.fixture
+def root_calls(monkeypatch):
+    """The arguments of each mpmath.root call, which only the mpmath start makes."""
+    calls = []
+    root = mpmath.root
+    monkeypatch.setattr(mpmath, "root", lambda *args: calls.append(args) or root(*args))
+    return calls
+
+
+_rng = random.Random(38)
+SWEEP_SHAPED = [(int(10 ** _rng.uniform(2, 26)), _rng.randint(2, 5)) for _ in range(200)]
+
+
+@pytest.mark.parametrize("cases", [
+    [(10**e, l) for e in range(46) for l in range(1, 8)],
+    [(1, l) for l in range(1, 30)] + [(l, l) for l in range(1, 30)] + [(10, 10**4)],
+    SWEEP_SHAPED,
+], ids=["powers_of_ten", "n_1_n_l_and_the_budget", "sweep_shaped"])
+def test_double_start_agrees_with_the_mpmath_start(cases, root_calls):
+    for n, l in cases:
+        _assert_agrees_with_the_mpmath_start(n, l)
+    assert len(root_calls) == len(cases)  # the reference's start alone: no fallback
+
+
+def test_double_start_calls_no_mpmath_before_the_result(monkeypatch):
+    def no_mpmath(*args):
+        raise AssertionError("mpmath start")
+    monkeypatch.setattr(asymptotic, "mpf", no_mpmath)
+    monkeypatch.setattr(mpmath, "root", no_mpmath)
+    monkeypatch.setattr(mpmath.mp, "workdps", no_mpmath)
+    for n, l in SWEEP_SHAPED[:20] + [(1, 3), (10, 10**4), (10**40, 1000)]:
+        assert abs(solve_saddle(n, l).residual) < 1e-12
+
+
+@pytest.mark.parametrize("start", [lambda root: root * (1 - 2**-30), lambda root: root / 2,
+                                   lambda root: 0.0, lambda root: -root,
+                                   lambda root: math.nan, lambda root: math.inf],
+                         ids=["just_below", "half", "zero", "negative", "nan", "inf"])
+def test_a_double_start_below_the_root_falls_back_to_n_to_the_1_over_l(start, root_calls, monkeypatch):
+    float_root = asymptotic._float_root
+    monkeypatch.setattr(asymptotic, "_float_root", lambda n, l: start(float_root(n, l)))
+    cases = [(1, 3), (12, 2), (1000, 3), (10**20, 5), (10, 300)]
+    for n, l in cases:
+        _assert_agrees_with_the_mpmath_start(n, l)
+    assert len(root_calls) == 2 * len(cases)  # the solver's fallback and the reference's start
+
+
+def test_an_n_past_double_range_starts_from_n_to_the_1_over_l(root_calls):
+    for l in (1, 2, 3, 7):
+        assert math.isnan(asymptotic._float_root(10**400, l))
+        _assert_agrees_with_the_mpmath_start(10**400, l)
+    assert len(root_calls) == 8
 
 
 def test_solve_saddle_memory_does_not_grow_with_l():

@@ -17,6 +17,7 @@ from involutions.valuation import (
     involution_mod_sequence,
     is_efficient,
     nu2_involution,
+    nu2_involution_floor,
     nu2_partial_sum,
     nu3_partial_sum,
     nu3_partial_sum_pattern_check,
@@ -47,6 +48,26 @@ def test_nu2_partial_sum_examples():
     assert nu2_partial_sum(4) == 1
     assert nu2_partial_sum(6) == 3
     assert nu2_partial_sum(0) == 0  # documented convention, a(0) = 1
+
+
+# the closed forms at n = 0..27, recorded before they refused a float index
+CLOSED_FORMS_TO_27 = {
+    nu2_involution: [0, 0, 1, 2, 1, 1, 2, 3, 2, 2, 3, 4, 3, 3, 4, 5, 4, 4, 5, 6, 5, 5, 6, 7, 6, 6, 7, 8],
+    nu2_involution_floor: [0, 0, 1, 2, 1, 1, 2, 3, 2, 2, 3, 4, 3, 3, 4, 5, 4, 4, 5, 6, 5, 5, 6, 7,
+                           6, 6, 7, 8],
+    nu2_partial_sum: [0, 1, 2, 3, 1, 2, 3, 5, 2, 3, 4, 5, 3, 4, 5, 8, 4, 5, 6, 7, 5, 6, 7, 9, 6, 7, 8, 9],
+    nu3_partial_sum: [0, 0, 0, 0, 2, 0, 1, 0, 2, 0, 0, 0, 0, 2, 0, 1, 0, 2, 0, 0, 0, 0, 2, 0, 1, 0, 3, 0],
+}
+
+
+@pytest.mark.parametrize("closed_form", CLOSED_FORMS_TO_27, ids=lambda f: f.__name__)
+def test_closed_forms_refuse_a_float_index(closed_form):
+    # nu2_partial_sum(4.5) and nu2_involution_floor(7.2) read a branch and
+    # returned 1.0 and 3.0, nu3_partial_sum(4.5) returned 0
+    for n in (4.5, 7.2, 4.0):
+        with pytest.raises(TypeError):
+            closed_form(n)
+    assert [closed_form(n) for n in range(28)] == CLOSED_FORMS_TO_27[closed_form]
 
 
 def test_is_efficient_examples():
