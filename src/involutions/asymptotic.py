@@ -107,6 +107,7 @@ def solve_saddle(n: int, l: int) -> SaddleSolution:
     fall leaves r at the root to the working precision.  An l past
     SADDLE_BUDGET is refused before any work.
     """
+    n, l = operator.index(n), operator.index(l)
     if n < 1 or l < 1:
         raise ValueError("requires n >= 1 and l >= 1")
     _refuse_past_budget(l)
@@ -145,6 +146,7 @@ def log_factorial(n: int) -> mpmath.mpf:
     mpmath evaluates it to the working precision, so the saddle error stays
     isolated from any Stirling truncation; the cost does not grow with n.
     """
+    n = operator.index(n)
     with mp.workdps(_precision(n)):
         return mpmath.loggamma(n + 1)
 
@@ -164,6 +166,7 @@ def estimate_saddle(n: int, l: int) -> SaddleEstimate:
 
     ln n! - ln sqrt(2 pi l n) + sum_j r^j / j - n ln r   at r = r_plus.
     """
+    n, l = operator.index(n), operator.index(l)
     sol = solve_saddle(n, l)
     with mp.workdps(_precision(n)):
         r = sol.r_plus
@@ -179,9 +182,12 @@ def estimate_saddle(n: int, l: int) -> SaddleEstimate:
 def log_exact_count(n: int, l: int) -> mpmath.mpf:
     """ln of the exact count d(n, l), bit for bit ln(mpf(restricted_count(n, l))).
 
-    `_count_window` brackets d(n, l) to a relative width under 2^-(prec+62).
-    Rounding to nearest is monotone, so if its ends round alike, d(n, l) does
-    too (Ziv's test); if not (rare), the exact count is built and rounded.
+    `_count_window` brackets d(n, l) to a relative width under 2^-(prec+62):
+    from d(m, l) on cut ints for l = 2 and 3, and for l >= 4 from the EGF
+    coefficients d(m, l)/m!, one floor division a step whatever l is; a
+    d(n, l) narrower than the window comes back exact.  Rounding to nearest
+    is monotone, so if its ends round alike, d(n, l) does too (Ziv's test);
+    if not (rare), the exact count is built and rounded.
     """
     n, l = operator.index(n), operator.index(l)
     with mp.workdps(_precision(n)):
@@ -256,6 +262,7 @@ def estimate_closed_form(n: int, l: int, beta_source: str = "extracted") -> Clos
     """
     if beta_source not in ("printed", "extracted"):
         raise ValueError("beta_source must be 'printed' or 'extracted'")
+    n, l = operator.index(n), operator.index(l)
     if n < 1 or l < 1:
         raise ValueError("requires n >= 1 and l >= 1")
     if l > CLOSED_FORM_BUDGET:
@@ -280,6 +287,7 @@ def estimate_closed_form(n: int, l: int, beta_source: str = "extracted") -> Clos
 
 def phi_at(n: int, l: int) -> mpmath.mpf:
     """Phi(eta) = sum_j r^j / j - n ln(r / eta) at the saddle, eta = n^(1/l)."""
+    n, l = operator.index(n), operator.index(l)
     sol = solve_saddle(n, l)
     with mp.workdps(_precision(n)):
         r = sol.r_plus
@@ -300,9 +308,10 @@ def fit_phi_coefficients(l: int, sample_ns=None) -> dict[int, float]:
     DEFAULT_DPS digits as Bjorck and Pereyra do (Math. Comp. 24, 1970):
     Newton divided differences, then the Newton form expanded to monomials,
     N(N-1)/2 divisions and as many multiply-subtracts.  Any other number of
-    samples, a sample n < 1, a repeated n or l < 1 raises ValueError before
-    any saddle solve.
+    samples, a sample n < 1, a repeated n or l < 1 raises ValueError, and a
+    float l or sample TypeError, before any saddle solve.
     """
+    l = operator.index(l)
     if l < 1:
         raise ValueError("requires l >= 1")
     count = l + 5
@@ -311,7 +320,9 @@ def fit_phi_coefficients(l: int, sample_ns=None) -> dict[int, float]:
         sample_ns = [
             int(round(10 ** (4 + 2 * i / (count - 1)))) for i in range(count)
         ]
-    elif len(sample_ns) != count:
+    else:
+        sample_ns = [operator.index(n) for n in sample_ns]
+    if len(sample_ns) != count:
         raise ValueError(f"requires {count} samples, one per power eta^-4..eta^{l}")
     for i, n in enumerate(sample_ns):
         if n < 1:

@@ -472,7 +472,7 @@ B_K_BUDGET = 10**4  # `sums --b-k`: 2.8 s
 ESTIMATE_DIGITS = 2000  # digits of `asym --n`: 2.4 s
 SADDLE_DIGITS = 10**5  # of `asym --saddle --n`: 0.8 s; Linux caps one argument at 131071 bytes
 DIGITS_TIMES_L = 10**6  # `asym` at (1000 digits, l = 1000) 0.8 s, `--saddle` at (10^5, 10) 2.3 s
-SWEEP_BUDGET = 3 * 10**7  # the sum of n l of `asym --sweep`: l = 4 is the slowest corner, 5.1 s
+SWEEP_BUDGET = 3 * 10**7  # the sum of n l of `asym --sweep`: l = 4 is the slowest corner, 2.4 s
 
 
 def _at_most(what: str, value: int, budget: int) -> str | None:

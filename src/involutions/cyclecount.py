@@ -83,11 +83,12 @@ def restricted_count(n: int, l: int) -> int:
 
     d(n, l) = d(n, min(l, n)).  The EGF f = exp(x + ... + x^l/l) has
     (1 - x) f' = (1 - x^l) f, so d(m+1) = (m+1) d(m) - m!/(m-l)! d(m-l):
-    three big-int operations a step, against 2(l - 1) in the Horner window of
-    `_count_window`.  Yet best of 5 it takes, over the time of the window's
-    dedicated steps, 1.1-1.6x at l = 3 and 1.8-2.9x at l = 2 for n = 250-60000.
-    So the window keeps l <= 3, and the cut ints of `log_exact_count`, where
-    the subtraction would let the m!-sized second solution swamp d(n, l).
+    three big-int operations a step.  Yet best of 5 it takes, over the time
+    of the dedicated steps of `_count_window`, 1.1-1.6x at l = 3 and
+    1.8-2.9x at l = 2 for n = 250-60000, so those keep l <= 3.  On cut ints
+    its subtraction would let the m!-sized second solution swamp d(n, l), so
+    the scaled path of `log_exact_count` runs the positive EGF-coefficient
+    window `_egf_window` instead.
     """
     n, l = operator.index(n), operator.index(l)
     if n < 0 or l < 1:
@@ -104,18 +105,27 @@ def restricted_count(n: int, l: int) -> int:
 def _count_window(n: int, l: int, bits: int = 0) -> tuple[int, int, int]:
     """(low, high, s) with low 2^s <= d(n, l) <= high 2^s; (d, d, 0) when bits is 0.
 
-    Otherwise the window holds ints scaled by 2^-s, W = bits + bits of n wide:
-    once its oldest, smallest term passes 2W bits, all are shifted right until
-    it has W, losing under 2^-(W-1) of each.  Steps are positive combinations,
-    so c <= n cuts (c 2^-(W-1) <= 1/2 as bits >= 2) leave d(n, l) <= high 2^s
-    for high = low + ceil(c low 2^-(W-2)) < low (1 + 2^-(bits-2)).
-    l = 2 and 3 step on local ints: the deque loop took 2-3x as long there.
+    l is clamped to n first, and l = 1 takes no step, as d(n, 1) = 1.  l = 2
+    and 3 step d(m+1) = d(m) + m d(m-1) (+ m (m-1) d(m-2)) on local ints.
+    When bits > 0, these are scaled by 2^-s, W = bits + bits of n wide: once
+    the oldest, smallest passes 2W bits, all are shifted right until it has
+    W, losing under 2^-(W-1) of each.  Steps are positive combinations, so
+    c <= n cuts (c 2^-(W-1) <= 1/2 as bits >= 2) leave d(n, l) <= high 2^s
+    for high = low + ceil(c low 2^-(W-2)) < low (1 + 2^-(bits-2)).  For
+    l >= 4 the exact count is `restricted_count`'s two-term recurrence and
+    the bracket that of the EGF-coefficient window, `_egf_window`.
     """
     n, l, bits = operator.index(n), operator.index(l), operator.index(bits)
     if n < 0 or l < 1 or bits < 0 or bits == 1:
         raise ValueError("requires n >= 0, l >= 1 and bits 0 or at least 2")
-    if l == 1:
-        return 1, 1, 0  # d(n, 1) = 1
+    l = min(l, n)
+    if l <= 1:
+        return 1, 1, 0  # d(n, 1) = d(0, l) = 1
+    if l >= 4:
+        if bits:
+            return _egf_window(n, l, bits)
+        d = restricted_count(n, l)
+        return d, d, 0
     width = bits and bits + n.bit_length()
     s = cuts = 0
     if l == 2:
@@ -126,8 +136,7 @@ def _count_window(n: int, l: int, bits: int = 0) -> tuple[int, int, int]:
                 a, b = a >> t, b >> t
                 s += t
                 cuts += 1
-        low = a
-    elif l == 3:
+    else:
         a, b, c = 1, 0, 0  # d(m), d(m-1), d(m-2), times 2^-s
         for m in range(n):
             a, b, c = a + m * (b + (m - 1) * c), a, b
@@ -135,22 +144,58 @@ def _count_window(n: int, l: int, bits: int = 0) -> tuple[int, int, int]:
                 a, b, c = a >> t, b >> t, c >> t
                 s += t
                 cuts += 1
-        low = a
-    else:
-        window = deque([1], maxlen=l)  # d(m), d(m-1), ..., d(m-l+1), times 2^-s
-        for m in range(n):
-            # d(m+1) = sum_{j=0}^{l-1} m!/(m-j)! d(m-j), in Horner form
-            # d(m) + m (d(m-1) + (m-1) (d(m-2) + ...)): big times small only
-            acc = window[-1]
-            for j in range(len(window) - 2, -1, -1):
-                acc = window[j] + (m - j) * acc
-            window.appendleft(acc)
-            if width and (t := window[-1].bit_length() - width) > width:
-                window = deque((term >> t for term in window), maxlen=l)
-                s += t
-                cuts += 1
-        low = window[0]
-    return low, (low - (-cuts * low >> (width - 2)) if cuts else low), s
+    return a, (a - (-cuts * a >> (width - 2)) if cuts else a), s
+
+
+def _egf_window(n: int, l: int, bits: int) -> tuple[int, int, int]:
+    """The bracket of `_count_window` for 4 <= l <= n, from the EGF coefficients.
+
+    g(m) = d(m, l)/m! are the coefficients of f = exp(x + ... + x^l/l), and
+    f' = (1 + x + ... + x^(l-1)) f gives m g(m) = g(m-1) + ... + g(m-l).  That
+    sum is positive and kept as a running total, so a step is one floor
+    division by m, one add and one subtract, whatever l is.  The window holds
+    G(k) <= g(k) 2^e.  Before a quotient could fall below 2^W,
+    W = bits + bits of n + 2, the window and its total are shifted left,
+    which is exact and changes only e.  After the loop F 2^fs <= n! is built
+    from exact products of 32 factors, and cut to W bits whenever it passes
+    2W.  So each of the n floors, each cut of F and the last cut,
+    low = floor(G(n) F / 2^t) to W bits, loses under eps = 2^-(W-1)
+    relative.  Every step is a positive combination, so these c <= 2n + 1
+    losses leave low 2^s >= d(n, l) (1 - eps)^c >= d(n, l) (1 - c eps) for
+    s = fs - e + t.  As c < 2^(bits of n + 1),
+    c eps < 2^-bits <= 1/4, so d(n, l) <= low 2^s (1 + 2 c eps) <= high 2^s
+    for high = low + ceil(c low 2^-(W-2)).  Then c 2^-(W-2) < 2^-(bits-1),
+    and the ceiling's 1 is at most low 2^-(bits-1) as low >= 2^(W-1), so
+    high - low < low 2^-(bits-2).  If s comes out negative, d(n, l) < 2^W:
+    n is small, and the exact (d, d, 0) is returned.
+    """
+    width = bits + n.bit_length() + 2
+    floor = width + n.bit_length()  # a total of more bits is at least m 2^W
+    window = deque([0] * (l - 1) + [1])  # G(m-l), ..., G(m-1)
+    total, e = 1, 0
+    for m in range(1, n + 1):
+        if total.bit_length() <= floor:
+            t = floor + width - total.bit_length()
+            window = deque(g << t for g in window)
+            total <<= t
+            e += t
+        g = total // m
+        total += g - window.popleft()
+        window.append(g)
+    f, fs, cuts = 1, 0, n + 1  # n floors and the last cut so far
+    for a in range(1, n + 1, 32):  # 32 factors of n! at a time, exactly
+        f *= math.prod(range(a, min(a + 32, n + 1)))
+        if (t := f.bit_length() - width) > width:
+            f >>= t
+            fs += t
+            cuts += 1
+    product = g * f
+    t = product.bit_length() - width
+    if (s := fs - e + t) < 0:
+        d = restricted_count(n, l)
+        return d, d, 0
+    low = product >> t
+    return low, low - (-cuts * low >> (width - 2)), s
 
 
 def cycle_index_polys(l: int):

@@ -266,6 +266,50 @@ def test_solve_saddle_preconditions():
         solve_saddle(10, 0)
 
 
+FIT_SAMPLES = [10**4, 2 * 10**4, 5 * 10**4, 10**5, 2 * 10**5, 5 * 10**5, 10**6]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: log_factorial(10.5),
+    lambda: estimate_closed_form(1000.5, 2),
+    lambda: estimate_closed_form(1000, 2.0),
+    lambda: solve_saddle(2.5, 2),
+    lambda: solve_saddle(100, 2.0),
+    lambda: estimate_saddle(100.5, 2),
+    lambda: phi_at(1000.5, 2),
+    lambda: fit_phi_coefficients(2.0),
+    lambda: fit_phi_coefficients(2, FIT_SAMPLES[:6] + [1e6]),
+], ids=["log_factorial", "closed_form_n", "closed_form_l", "saddle_n", "saddle_l",
+        "estimate_n", "phi_at_n", "fit_l", "fit_sample"])
+def test_asymptotic_refuses_a_non_integer_index(call):
+    # log_factorial(10.5) was ln Gamma(11.5) and the closed form an estimate;
+    # the saddle solve died on float.bit_length
+    with pytest.raises(TypeError):
+        call()
+
+
+class _Index:
+    """An int-like that is not an int: only operator.index reads it."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+def test_asymptotic_reads_an_index_as_its_int():
+    assert log_factorial(_Index(10)) == log_factorial(10)
+    assert solve_saddle(_Index(1000), _Index(3)) == solve_saddle(1000, 3)
+    assert estimate_saddle(_Index(1000), 3) == estimate_saddle(1000, 3)
+    assert phi_at(_Index(10**4), 2) == phi_at(10**4, 2)
+    assert estimate_closed_form(_Index(1000), _Index(3)) == estimate_closed_form(1000, 3)
+    assert (fit_phi_coefficients(_Index(2), [_Index(n) for n in FIT_SAMPLES])
+            == fit_phi_coefficients(2, FIT_SAMPLES))
+    with mpmath.mp.workdps(40):
+        assert abs(log_factorial(10) - mpmath.ln(3628800)) < 1e-38
+
+
 def test_log_factorial_exact_summation():
     assert log_factorial(0) == 0
     with mpmath.mp.workdps(40):
@@ -515,6 +559,11 @@ def test_phi_fit_refuses_bad_input_before_any_solve(monkeypatch):
     for l in (0, -1, -4, -5):
         with pytest.raises(ValueError, match="requires l >= 1"):
             fit_phi_coefficients(l)
+    for bad in (good[:6] + [1e6], good[:6] + [2.5]):
+        with pytest.raises(TypeError):
+            fit_phi_coefficients(2, bad)
+    with pytest.raises(TypeError):
+        fit_phi_coefficients(2.0, good)
     with pytest.raises(AssertionError, match="saddle solve began"):
         fit_phi_coefficients(2, good)
 

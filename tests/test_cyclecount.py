@@ -5,9 +5,11 @@ from collections import deque
 from itertools import accumulate, islice, permutations
 from math import factorial, isqrt, prod
 
+import mpmath
 import pytest
 
 from involutions import cyclecount
+from involutions.asymptotic import _precision, log_exact_count
 from involutions.cyclecount import (
     CYCLE_INDEX_BUDGET,
     EXPONENT_BUDGET,
@@ -73,15 +75,16 @@ def test_exact_window_at_table_sizes(l):
 
 
 def test_two_term_recurrence_matches_the_window():
-    # restricted_count steps d(m+1) = (m+1) d(m) - m!/(m-l)! d(m-l) for l >= 4
+    # restricted_count steps d(m+1) = (m+1) d(m) - m!/(m-l)! d(m-l) for l >= 4;
+    # the reference is the test copy of the Horner window, an independent form
     for n in range(301):
         for l in range(1, 13):
-            assert restricted_count(n, l) == _count_window(n, l)[0], (n, l)
+            assert restricted_count(n, l) == _horner_window(n, l)[0], (n, l)
 
 
 @pytest.mark.parametrize("n, l", [(4000, 8), (20000, 10), (2000, 100)])
 def test_two_term_recurrence_at_scale(n, l):
-    assert restricted_count(n, l) == _count_window(n, l)[0]
+    assert restricted_count(n, l) == _horner_window(n, l)[0]
 
 
 def test_restricted_count_clamps_l_to_n():
@@ -110,8 +113,9 @@ def test_scaled_window_brackets_the_count(n, l, bits):
 
 
 def _horner_window(n, l, bits=0):
-    """The generic deque window of `_count_window`, kept as the reference of
-    its dedicated l = 1, 2 and 3 steps."""
+    """The generic deque window that `_count_window` ran for every l, in
+    Horner form d(m) + m (d(m-1) + (m-1) (d(m-2) + ...)): the reference of
+    its dedicated l = 1, 2 and 3 steps and of the two-term recurrence."""
     width = bits and bits + n.bit_length()
     window = deque([1], maxlen=l)
     s = cuts = 0
@@ -141,11 +145,49 @@ def test_scaled_window_keeps_its_brackets():
     # the l = 2 one when l = 2 still ran the generic window
     assert _count_window(300, 2, 20) == (4839901742295216088, 4839902860157634466, 980)
     assert _count_window(300, 3, 20) == (3116882318586456318, 3116883293934939200, 1335)
-    assert _count_window(40, 9, 8) == (6464346957788676, 6473816216027625, 98)
+    # recorded from the EGF window, W = bits + bits of n + 2 = 16
+    assert _count_window(40, 9, 8) == (47033, 47157, 135)
     assert _count_window(10**12, 1, 64) == (1, 1, 0)  # d(n, 1) = 1, no steps taken
     for bits in (-1, 1):
         with pytest.raises(ValueError, match="bits 0 or at least 2"):
             _count_window(40, 9, bits)
+
+
+def _assert_brackets(n, l, bits, d):
+    low, high, s = _count_window(n, l, bits)
+    assert s >= 0, (n, l, bits)
+    assert low << s <= d <= high << s, (n, l, bits)
+    assert (high - low) << (bits - 2) < low, (n, l, bits)
+
+
+@pytest.mark.parametrize("l", [*range(4, 13), 40])
+def test_egf_window_brackets_the_count(l):
+    # l >= 4 with bits > 0, l > n included: low 2^s <= d(n, l) <= high 2^s,
+    # to a relative width under 2^-(bits-2), with s >= 0
+    for n in range(301):
+        d = restricted_count(n, l)
+        for bits in (2, 3, 20, 64, 200):
+            _assert_brackets(n, l, bits, d)
+    # the small n whose d(n, l) is under 2^W come back exact
+    assert _count_window(l, l, 200) == (factorial(l), factorial(l), 0)
+
+
+@pytest.mark.parametrize("n, l", [(2000, 5), (3000, 10**4)])
+def test_egf_window_brackets_the_count_at_scale(n, l):
+    _assert_brackets(n, l, 200, restricted_count(n, l))
+
+
+def test_log_exact_count_clamps_l_to_n():
+    # the EGF window holds min(l, n) slots, not l
+    tracemalloc.start()
+    try:
+        log = log_exact_count(5, 10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+    with mpmath.mp.workdps(_precision(5)):
+        assert log == mpmath.ln(120)
 
 
 def test_cycle_index_examples():
